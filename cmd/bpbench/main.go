@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	bpbench [-fig all|6|7|8|9|10|11|12|13|14|ablations|fanout|telemetry|monitor|exec|batch|faults|ingest] [-nodes 10,20,50] [-sf 0.0004]
+//	bpbench [-fig all|6|7|8|9|10|11|12|13|14|ablations|fanout|telemetry|monitor|faults|ingest] [-nodes 10,20,50] [-sf 0.0004]
 //
 // Five experiments are wall-clock rather than vtime: "fanout" compares
 // sequential vs concurrent multi-peer fetch under an injected per-call
@@ -12,16 +12,11 @@
 // the fig-6 workload (JSON line for BENCH_telemetry.json), "monitor"
 // measures the monitoring plane — reporter loops plus the bootstrap
 // collector — on the same workload (JSON line for BENCH_monitor.json),
-// "exec" prices the compile-once execution layer against the
-// tree-walking interpreter on the fig-6 benchmark queries (JSON line
-// for BENCH_exec.json), "batch" prices the vectorized batch executor
-// against the row-compiled closures on the same queries (JSON line
-// appended to BENCH_exec.json), "faults" prices the hardened RPC
-// path (deadline guard + retry policy) against the bare path on the
-// same workload (JSON line for BENCH_faults.json), and "serving"
-// saturates the serving tier with 1k+ concurrent client sessions —
-// admission, shedding, and the result cache on/off (JSON line for
-// BENCH_serving.json).
+// "faults" prices the hardened RPC path (deadline guard + retry policy)
+// against the bare path on the same workload (JSON line for
+// BENCH_faults.json), and "serving" saturates the serving tier with 1k+
+// concurrent client sessions — admission, shedding, and the result
+// cache on/off (JSON line for BENCH_serving.json).
 package main
 
 import (
@@ -44,7 +39,6 @@ func main() {
 	telemetryPeers := flag.Int("telemetry-peers", 4, "peers for the telemetry overhead measurement")
 	telemetryQueries := flag.Int("telemetry-queries", 50, "queries per timed batch for the telemetry overhead measurement")
 	monitorEpoch := flag.Duration("monitor-epoch", 50*time.Millisecond, "report epoch for the monitoring-plane overhead measurement")
-	batchSF := flag.Float64("batch-sf", 0.06, "TPC-H scale factor for the batch-vs-closure executor comparison")
 	servingPeers := flag.Int("serving-peers", 4, "peers for the serving-tier saturation benchmark")
 	servingClients := flag.Int("serving-clients", 1200, "concurrent client sessions for the serving-tier saturation benchmark")
 	servingDuration := flag.Duration("serving-duration", 2*time.Second, "per-phase duration for the serving-tier saturation benchmark")
@@ -101,26 +95,6 @@ func main() {
 		r, err := bench.TelemetryOverhead(*telemetryPeers, *telemetryQueries)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bpbench: telemetry: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(r.JSONLine())
-		return
-	}
-
-	if *fig == "exec" {
-		r, err := bench.ExecCompileSpeedup(*telemetryPeers, *telemetryQueries)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bpbench: exec: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(r.JSONLine())
-		return
-	}
-
-	if *fig == "batch" {
-		r, err := bench.BatchExecSpeedup(*batchSF, *telemetryQueries)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bpbench: batch: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Println(r.JSONLine())

@@ -234,9 +234,9 @@ func render(net *bestpeer.Network, start time.Time) {
 		hits, misses, rate,
 		telemetry.Default.Counter("sqldb_expr_compiles_total").Value(),
 		telemetry.Default.Counter("sqldb_plans_compiled_total").Value())
-	// Vectorized-executor summary: batches produced, average rows per
-	// batch, selection-bitmap density, row-mode fallbacks, and how well
-	// the cost model's scan estimates track actuals (median est/actual).
+	// Executor summary: batches produced, average rows per batch,
+	// selection-bitmap density, and how well the cost model's scan
+	// estimates track actuals (median est/actual).
 	batches := telemetry.Default.Counter("sqldb_batches_total").Value()
 	brows := telemetry.Default.Counter("sqldb_batch_rows_total").Value()
 	rowsPer := 0.0
@@ -252,10 +252,8 @@ func render(net *bestpeer.Network, start time.Time) {
 	ratio := telemetry.Default.Histogram("sqldb_cost_estimate_ratio",
 		[]float64{0.1, 0.25, 0.5, 0.8, 1.25, 2, 4, 10})
 	p50, _, _ := ratio.Quantiles()
-	fmt.Printf("batch exec: %d batches (%.0f rows avg, %.1f%% sel density), %d batch plans, %d fallbacks, est/actual p50=%.2f\n",
-		batches, rowsPer, selDensity,
-		telemetry.Default.Counter("sqldb_batch_plans_compiled_total").Value(),
-		telemetry.Default.Counter("sqldb_batch_fallbacks_total").Value(), p50)
+	fmt.Printf("batch exec: %d batches (%.0f rows avg, %.1f%% sel density), est/actual p50=%.2f\n",
+		batches, rowsPer, selDensity, p50)
 	// Hardened-transport summary: retries/timeouts summed over every
 	// destination the bootstrap knows, faults by the injection counters.
 	var retries, timeouts int64

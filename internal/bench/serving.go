@@ -212,3 +212,8 @@ func classStats(r throughput.ClassResult) ServingClassStats {
 		P99MS:     ms(r.P99),
 	}
 }
+
+// counterValue reads one unlabeled counter from the default registry.
+func counterValue(name string) int64 {
+	return telemetry.Default.Counter(name).Value()
+}

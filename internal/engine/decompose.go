@@ -119,11 +119,11 @@ func DecomposeAggregates(stmt *sqldb.SelectStmt, schemaOf func(string) *sqldb.Sc
 	// call, appending the partial columns it needs.
 	aggMergeExpr := make(map[string]sqldb.Expr) // agg call string -> merge expr
 	nextAgg := 0
-	addPartial := func(e sqldb.Expr, kind sqlval.Kind, mergeOp string) string {
+	addPartial := func(e sqldb.Expr, mergeOp string) string {
 		name := fmt.Sprintf("a%d", nextAgg)
 		nextAgg++
 		d.Partial.Items = append(d.Partial.Items, sqldb.SelectItem{Expr: e, Alias: name})
-		d.PartialSchema.Columns = append(d.PartialSchema.Columns, sqldb.Column{Name: name, Kind: kind})
+		d.PartialSchema.Columns = append(d.PartialSchema.Columns, sqldb.Column{Name: name, Kind: inferKind(e, bindings)})
 		d.PartialMergeOps = append(d.PartialMergeOps, mergeOp)
 		return name
 	}
@@ -135,20 +135,17 @@ func DecomposeAggregates(stmt *sqldb.SelectStmt, schemaOf func(string) *sqldb.Sc
 		var out sqldb.Expr
 		switch strings.ToUpper(fc.Name) {
 		case "COUNT":
-			col := addPartial(fc, sqlval.KindInt, "SUM")
+			col := addPartial(fc, "SUM")
 			out = &sqldb.FuncCall{Name: "SUM", Args: []sqldb.Expr{&sqldb.ColumnRef{Column: col}}}
 		case "SUM":
-			kind := inferKind(fc.Args[0], bindings)
-			col := addPartial(fc, kind, "SUM")
+			col := addPartial(fc, "SUM")
 			out = &sqldb.FuncCall{Name: "SUM", Args: []sqldb.Expr{&sqldb.ColumnRef{Column: col}}}
 		case "MIN", "MAX":
-			kind := inferKind(fc.Args[0], bindings)
-			col := addPartial(fc, kind, strings.ToUpper(fc.Name))
+			col := addPartial(fc, strings.ToUpper(fc.Name))
 			out = &sqldb.FuncCall{Name: strings.ToUpper(fc.Name), Args: []sqldb.Expr{&sqldb.ColumnRef{Column: col}}}
 		case "AVG":
-			kind := inferKind(fc.Args[0], bindings)
-			sumCol := addPartial(&sqldb.FuncCall{Name: "SUM", Args: fc.Args}, kind, "SUM")
-			cntCol := addPartial(&sqldb.FuncCall{Name: "COUNT", Args: fc.Args}, sqlval.KindInt, "SUM")
+			sumCol := addPartial(&sqldb.FuncCall{Name: "SUM", Args: fc.Args}, "SUM")
+			cntCol := addPartial(&sqldb.FuncCall{Name: "COUNT", Args: fc.Args}, "SUM")
 			out = &sqldb.Binary{
 				Op: "/",
 				L:  &sqldb.FuncCall{Name: "SUM", Args: []sqldb.Expr{&sqldb.ColumnRef{Column: sumCol}}},
@@ -198,8 +195,7 @@ func DecomposeAggregates(stmt *sqldb.SelectStmt, schemaOf func(string) *sqldb.Sc
 			// A bare column that is not a GROUP BY expression: ship it as
 			// an extra partial column (sample-row semantics, matching the
 			// local executor's permissive grouping).
-			kind := inferKind(x, bindings)
-			col := addPartial(&sqldb.FuncCall{Name: "MIN", Args: []sqldb.Expr{x}}, kind, "MIN")
+			col := addPartial(&sqldb.FuncCall{Name: "MIN", Args: []sqldb.Expr{x}}, "MIN")
 			return &sqldb.FuncCall{Name: "MIN", Args: []sqldb.Expr{&sqldb.ColumnRef{Column: col}}}, nil
 		default:
 			return nil, fmt.Errorf("engine: cannot rewrite %T for merge", e)
@@ -239,8 +235,10 @@ func DecomposeAggregates(stmt *sqldb.SelectStmt, schemaOf func(string) *sqldb.Sc
 	return d, true, nil
 }
 
-// inferKind guesses the result kind of an expression for the partial
-// schema.
+// inferKind gives the kind every non-NULL value of e has when the local
+// executor evaluates it. The partial schema declares its columns with
+// it, and the merge at the query submitting peer rejects a partial row
+// whose value contradicts its column's declaration.
 func inferKind(e sqldb.Expr, bindings []sqldb.Binding) sqlval.Kind {
 	switch x := e.(type) {
 	case *sqldb.ColumnRef:
@@ -256,25 +254,42 @@ func inferKind(e sqldb.Expr, bindings []sqldb.Binding) sqlval.Kind {
 	case *sqldb.Literal:
 		return x.Val.Kind()
 	case *sqldb.FuncCall:
-		if strings.EqualFold(x.Name, "COUNT") {
+		switch strings.ToUpper(x.Name) {
+		case "COUNT":
 			return sqlval.KindInt
+		case "AVG":
+			return sqlval.KindFloat
+		case "SUM":
+			// A sum stays INT only over INT inputs; dates, floats and
+			// strings all accumulate as FLOAT.
+			if len(x.Args) > 0 && inferKind(x.Args[0], bindings) == sqlval.KindInt {
+				return sqlval.KindInt
+			}
+			return sqlval.KindFloat
 		}
-		if len(x.Args) > 0 {
+		if len(x.Args) > 0 { // MIN, MAX: the argument's own kind
 			return inferKind(x.Args[0], bindings)
 		}
 		return sqlval.KindFloat
 	case *sqldb.Binary:
-		lk := inferKind(x.L, bindings)
-		rk := inferKind(x.R, bindings)
-		if x.Op == "/" {
+		switch x.Op {
+		case "+", "-", "*":
+			if inferKind(x.L, bindings) == sqlval.KindInt && inferKind(x.R, bindings) == sqlval.KindInt {
+				return sqlval.KindInt
+			}
 			return sqlval.KindFloat
-		}
-		if lk == sqlval.KindInt && rk == sqlval.KindInt {
+		case "/":
+			return sqlval.KindFloat
+		default: // comparisons, AND, OR yield 0/1
 			return sqlval.KindInt
 		}
-		return sqlval.KindFloat
 	case *sqldb.Unary:
+		if x.Op == "NOT" {
+			return sqlval.KindInt
+		}
 		return inferKind(x.E, bindings)
+	case *sqldb.Between, *sqldb.InList, *sqldb.IsNull:
+		return sqlval.KindInt
 	default:
 		return sqlval.KindFloat
 	}

@@ -158,3 +158,47 @@ func TestRandomQueriesAllEnginesAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestAggregatesOverEveryColumnKind runs SUM/AVG/MIN/MAX over an INT, a
+// FLOAT and a DATE column, global and grouped, single-table and joined,
+// through every engine. The partial schema must declare each partial
+// column with the kind the data owners' aggregates really return (SUM
+// and AVG over a DATE ship FLOAT partials) or the merge rejects the
+// partial rows.
+func TestAggregatesOverEveryColumnKind(t *testing.T) {
+	b, oracle := newTPCHBackend(t, 3, 0.003)
+	engines := map[string]interface {
+		Execute(*sqldb.SelectStmt) (*QueryResult, error)
+	}{
+		"basic":     &Basic{B: b},
+		"parallel":  &Parallel{B: b},
+		"mapreduce": &MapReduce{B: b},
+		"adaptive":  NewAdaptive(b, Options{}, ""),
+	}
+	for _, fn := range []string{"SUM", "AVG", "MIN", "MAX"} {
+		for _, col := range []string{"l.l_quantity", "l.l_extendedprice", "l.l_shipdate"} {
+			agg := fmt.Sprintf("%s(%s)", fn, col)
+			for _, sql := range []string{
+				"SELECT " + agg + " FROM lineitem l",
+				"SELECT l.l_partkey, " + agg + " FROM lineitem l GROUP BY l.l_partkey",
+				"SELECT o.o_shippriority, " + agg + " FROM orders o JOIN lineitem l ON o.o_orderkey = l.l_orderkey GROUP BY o.o_shippriority",
+			} {
+				stmt, err := sqldb.ParseSelect(sql)
+				if err != nil {
+					t.Fatalf("%q: %v", sql, err)
+				}
+				want, err := oracle.ExecStmt(stmt)
+				if err != nil {
+					t.Fatalf("oracle on %q: %v", sql, err)
+				}
+				for name, e := range engines {
+					got, err := e.Execute(stmt)
+					if err != nil {
+						t.Fatalf("%s on %q: %v", name, sql, err)
+					}
+					assertSameResult(t, name+": "+sql, got.Result, want)
+				}
+			}
+		}
+	}
+}

@@ -2,7 +2,6 @@ package sqldb
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"bestpeer/internal/sqlval"
@@ -158,137 +157,6 @@ type group struct {
 	key    sqlval.Row
 	sample sqlval.Row // first input row; evaluates non-aggregate refs
 	aggs   []*aggState
-}
-
-// projectGrouped executes grouping, aggregation, HAVING, ORDER BY and
-// projection for aggregate queries. starF expands stars in FROM order.
-func projectGrouped(f, starF *frame, stmt *SelectStmt, rows []sqlval.Row) (*Result, error) {
-	coll := collectAggregates(stmt)
-	groups := make(map[uint64][]*group)
-	var orderedGroups []*group
-
-	newGroup := func(key, sample sqlval.Row) *group {
-		g := &group{key: key, sample: sample}
-		for _, name := range coll.order {
-			g.aggs = append(g.aggs, newAggState(coll.calls[name].Name))
-		}
-		return g
-	}
-
-	for _, row := range rows {
-		key := make(sqlval.Row, len(stmt.GroupBy))
-		for i, e := range stmt.GroupBy {
-			v, err := evalExpr(f, e, row)
-			if err != nil {
-				return nil, err
-			}
-			key[i] = v
-		}
-		var h uint64 = 14695981039346656037
-		for _, v := range key {
-			h = h*1099511628211 ^ v.Hash()
-		}
-		var g *group
-		for _, cand := range groups[h] {
-			same := true
-			for i := range key {
-				if !sqlval.Equal(cand.key[i], key[i]) {
-					same = false
-					break
-				}
-			}
-			if same {
-				g = cand
-				break
-			}
-		}
-		if g == nil {
-			g = newGroup(key, row)
-			groups[h] = append(groups[h], g)
-			orderedGroups = append(orderedGroups, g)
-		}
-		for i, name := range coll.order {
-			call := coll.calls[name]
-			if call.Star {
-				g.aggs[i].add(sqlval.Int(1))
-				continue
-			}
-			v, err := evalExpr(f, call.Args[0], row)
-			if err != nil {
-				return nil, err
-			}
-			g.aggs[i].add(v)
-		}
-	}
-
-	// A global aggregate (no GROUP BY) over zero rows still yields one row.
-	if len(stmt.GroupBy) == 0 && len(orderedGroups) == 0 {
-		orderedGroups = append(orderedGroups, newGroup(nil, nil))
-	}
-
-	cols, exprs, err := expandItems(starF, stmt.Items)
-	if err != nil {
-		return nil, err
-	}
-
-	evalAgg := func(g *group, e Expr) (sqlval.Value, error) {
-		return evalWithAggs(f, e, g, coll)
-	}
-
-	res := &Result{Columns: cols}
-	type sorted struct {
-		out  sqlval.Row
-		keys sqlval.Row
-	}
-	var outs []sorted
-	for _, g := range orderedGroups {
-		if stmt.Having != nil {
-			v, err := evalAgg(g, stmt.Having)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() || !truthy(v) {
-				continue
-			}
-		}
-		out := make(sqlval.Row, len(exprs))
-		for i, e := range exprs {
-			v, err := evalAgg(g, e)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		var keys sqlval.Row
-		for _, o := range stmt.OrderBy {
-			v, err := evalAgg(g, o.Expr)
-			if err != nil {
-				v2, err2 := orderByAlias(o.Expr, cols, out)
-				if err2 != nil {
-					return nil, err
-				}
-				v = v2
-			}
-			keys = append(keys, v)
-		}
-		outs = append(outs, sorted{out: out, keys: keys})
-	}
-	if len(stmt.OrderBy) > 0 {
-		sort.SliceStable(outs, func(i, j int) bool {
-			return lessKeys(outs[i].keys, outs[j].keys, stmt.OrderBy)
-		})
-	}
-	seen := newDistinctFilter(stmt.Distinct)
-	for _, s := range outs {
-		if !seen.admit(s.out) {
-			continue
-		}
-		if stmt.Limit >= 0 && len(res.Rows) >= stmt.Limit {
-			break
-		}
-		res.Rows = append(res.Rows, s.out)
-	}
-	return res, nil
 }
 
 // evalWithAggs evaluates an expression in aggregate context: aggregate

@@ -6,47 +6,39 @@ import (
 	"bestpeer/internal/sqlval"
 )
 
-// This file is the batch executor runtime: the per-plan structures that
-// drive scans, hash joins, and projection batch-at-a-time, reusing the
-// row plan's shape (same access paths, same join order, same sinks) so
-// that results and Stats are bit-identical to the row-compiled path.
-//
-// A batchPlan is stateless across runs — per-run scratch (bctx) comes
-// from per-plan sync.Pools so concurrent readers under db.mu.RLock never
+// This file is the executor runtime: it drives a selectPlan's scans,
+// joins, and projection batch-at-a-time. Per-run scratch (bctx) comes
+// from per-plan pools so concurrent readers under db.mu.RLock never
 // share vectors and steady-state execution allocates nothing per batch.
 
-// bscan is one table scan's batch program: the scan frame's column
-// kinds, the fused filter predicate, and the columns it needs loaded.
-type bscan struct {
-	kinds      []sqlval.Kind
-	filter     bpred // nil = no per-table conjuncts
-	filterOffs []int
-	pool       sync.Pool
+// bctxPool hands out batch contexts for one row layout.
+type bctxPool struct {
+	f     *frame
+	kinds []sqlval.Kind
+	pool  sync.Pool
 }
 
-func (bs *bscan) get() *bctx {
-	if c, ok := bs.pool.Get().(*bctx); ok && c != nil {
-		c.mismatch = false
-		c.rows = c.own[:0]
+func (p *bctxPool) get() *bctx {
+	if c, ok := p.pool.Get().(*bctx); ok && c != nil {
+		c.own = c.own[:0]
 		return c
 	}
-	return newBctx(bs.kinds)
+	return newBctx(p.f, p.kinds)
 }
 
-func (bs *bscan) put(c *bctx) { bs.pool.Put(c) }
+func (p *bctxPool) put(c *bctx) { p.pool.Put(c) }
 
 // applyFilter runs the scan filter over the staged batch and shrinks the
 // selection vector to the surviving rows (NULL collapses to false at
-// this boundary, like the row filter). Returns false on a column kind
-// mismatch.
-func (bs *bscan) applyFilter(ctx *bctx) bool {
-	if bs.filter == nil {
-		return true
+// this boundary).
+func (sp *scanPlan) applyFilter(ctx *bctx) error {
+	if sp.filter == nil {
+		return nil
 	}
-	if !ctx.loadCols(bs.filterOffs) {
-		return false
+	if err := ctx.loadCols(sp.filterOffs); err != nil {
+		return err
 	}
-	pv := bs.filter(ctx)
+	pv := sp.filter(ctx)
 	out := ctx.selBuf[:0]
 	for i := 0; i < ctx.n; i++ {
 		if pv.val[i] && !pv.null[i] {
@@ -56,297 +48,190 @@ func (bs *bscan) applyFilter(ctx *bctx) bool {
 	ctx.selBuf = out
 	ctx.sel = out
 	batchSelDensity.Observe(float64(len(out)) / float64(ctx.n))
-	return true
+	return nil
 }
 
-// bjoin is one hash-join level's batch program: key expressions over the
-// accumulated (left) layout and the right scan's layout. A nil bjoin in
-// batchPlan.joins means that level runs the row joinPlan (cross joins).
-type bjoin struct {
-	lkeys, rkeys []bval
-	loffs, roffs []int
-	lkinds       []sqlval.Kind
-	lpool        sync.Pool
-}
-
-func (bj *bjoin) get() *bctx {
-	if c, ok := bj.lpool.Get().(*bctx); ok && c != nil {
-		c.mismatch = false
-		c.rows = c.own[:0]
-		return c
-	}
-	return newBctx(bj.lkinds)
-}
-
-func (bj *bjoin) put(c *bctx) { bj.lpool.Put(c) }
-
-// batchPlan is the vectorized twin of a selectPlan, built alongside it
-// at compile time. scans and joins parallel the row plan's (already in
-// cost order).
-type batchPlan struct {
-	p     *selectPlan
-	scans []*bscan
-	joins []*bjoin
-}
-
-// run executes the plan batch-at-a-time. The middle return reports
-// whether the batch path completed; false (with no error) means a
-// runtime column-kind mismatch was detected and the caller should rerun
-// in row mode.
-func (b *batchPlan) run() (*Result, bool, error) {
-	sink := b.p.proj.newSink(0)
-	var stats Stats
-	var ok bool
-	var err error
-	if len(b.p.scans) == 1 {
-		ok, err = b.runSingle(sink, &stats)
-	} else {
-		ok, err = b.runMulti(sink, &stats)
-	}
-	if err != nil || !ok {
-		return nil, ok, err
-	}
-	res, err := sink.finish()
-	if err != nil {
-		return nil, true, err
-	}
-	finishStats(res, stats)
-	return res, true, nil
-}
-
-// scanBatches drives one table scan, staging live rows into ctx and
-// invoking flush at every full batch and once at the end. Statistics
-// charging matches the row scan exactly (every scanned row, before the
-// filter).
-func (b *batchPlan) scanBatches(idx int, stats *Stats, ctx *bctx, flush func() (bool, error)) (bool, error) {
-	sp := b.p.scans[idx]
+// scanBatches drives one table scan through the chosen access path,
+// staging rows into ctx and handing flush every full batch (filtered)
+// and the final partial one. Statistics are charged for every scanned
+// row, before the filter.
+func (sp *scanPlan) scanBatches(stats *Stats, ctx *bctx, flush func() error) error {
 	t := sp.table
 	sp.acc.record(sp.choice.path.index != nil)
 	var ferr error
-	okAll := true
 	emit := func(id int, row sqlval.Row) bool {
 		stats.RowsScanned++
 		stats.BytesScanned += int64(t.RowSize(id))
-		ctx.rows = append(ctx.rows, row)
-		if len(ctx.rows) == batchSize {
-			ok, err := flush()
-			if err != nil {
-				ferr = err
-				return false
-			}
-			if !ok {
-				okAll = false
-				return false
-			}
+		ctx.own = append(ctx.own, row)
+		if len(ctx.own) == batchSize {
+			ferr = sp.flushBatch(ctx, flush)
 		}
-		return true
+		return ferr == nil
 	}
 	if sp.choice.path.index != nil {
 		stats.IndexUsed = true
 		for _, id := range sp.ids() {
-			row := t.Row(id)
-			if row == nil {
-				continue
-			}
-			if !emit(id, row) {
+			if row := t.Row(id); row != nil && !emit(id, row) {
 				break
 			}
 		}
 	} else {
 		t.Scan(emit)
 	}
-	if ferr != nil {
-		return true, ferr
+	if ferr != nil || len(ctx.own) == 0 {
+		return ferr
 	}
-	if !okAll {
-		return false, nil
+	return sp.flushBatch(ctx, flush)
+}
+
+// flushBatch filters the staged rows, hands the batch to flush, and
+// empties the staging buffer.
+func (sp *scanPlan) flushBatch(ctx *bctx, flush func() error) error {
+	ctx.begin(ctx.own)
+	if err := sp.applyFilter(ctx); err != nil {
+		return err
 	}
-	return flush()
+	if err := flush(); err != nil {
+		return err
+	}
+	ctx.own = ctx.own[:0]
+	return nil
 }
 
 // runSingle streams the one scan's batches straight into the projection
-// sink — the batch twin of the fused scan→filter→project pipeline.
-func (b *batchPlan) runSingle(sink *projSink, stats *Stats) (bool, error) {
-	sp := b.p.scans[0]
-	bs := b.scans[0]
-	ctx := bs.get()
-	defer bs.put(ctx)
+// sink: the fused scan→filter→project pipeline.
+func (p *selectPlan) runSingle(sink *projSink, stats *Stats) error {
+	sp := p.scans[0]
+	ctx := sp.ctxs.get()
+	defer sp.ctxs.put(ctx)
 	var actual int64
-	flush := func() (bool, error) {
-		if len(ctx.rows) == 0 {
-			return true, nil
-		}
-		ctx.begin()
-		if !bs.applyFilter(ctx) {
-			return false, nil
-		}
+	err := sp.scanBatches(stats, ctx, func() error {
 		actual += int64(len(ctx.sel))
-		if len(ctx.sel) > 0 {
-			ok, err := sink.addBatch(ctx)
-			if err != nil || !ok {
-				return ok, err
-			}
+		if len(ctx.sel) == 0 {
+			return nil
 		}
-		ctx.reset()
-		return true, nil
-	}
-	ok, err := b.scanBatches(0, stats, ctx, flush)
-	if err != nil || !ok {
-		return ok, err
+		return sink.addBatch(ctx)
+	})
+	if err != nil {
+		return err
 	}
 	sp.choice.observeEstimate(actual)
-	return true, nil
+	return nil
 }
 
-// scanFiltered materializes one scan's filtered rows (the batch twin of
-// scanPlan.fetch), preserving scan order.
-func (b *batchPlan) scanFiltered(idx int, stats *Stats) ([]sqlval.Row, bool, error) {
-	sp := b.p.scans[idx]
-	bs := b.scans[idx]
-	ctx := bs.get()
-	defer bs.put(ctx)
+// scanFiltered materializes one scan's filtered rows in scan order,
+// preallocating from the costed cardinality estimate.
+func (sp *scanPlan) scanFiltered(stats *Stats) ([]sqlval.Row, error) {
+	ctx := sp.ctxs.get()
+	defer sp.ctxs.put(ctx)
 	out := make([]sqlval.Row, 0, int(sp.choice.estRows)+8)
-	flush := func() (bool, error) {
-		if len(ctx.rows) == 0 {
-			return true, nil
-		}
-		ctx.begin()
-		if !bs.applyFilter(ctx) {
-			return false, nil
-		}
+	err := sp.scanBatches(stats, ctx, func() error {
 		for _, i := range ctx.sel {
 			out = append(out, ctx.rows[i])
 		}
-		ctx.reset()
-		return true, nil
-	}
-	ok, err := b.scanBatches(idx, stats, ctx, flush)
-	if err != nil || !ok {
-		return nil, ok, err
-	}
-	sp.choice.observeEstimate(int64(len(out)))
-	return out, true, nil
+		return nil
+	})
+	return out, err
 }
 
-// runMulti materializes each scan's filtered rows, hash-joins level by
-// level with batched key evaluation, and projects the joined rows in
-// windows. Row order matches the row path: left rows in order, build
-// chains in right scan order.
-func (b *batchPlan) runMulti(sink *projSink, stats *Stats) (bool, error) {
-	lrows, ok, err := b.scanFiltered(0, stats)
-	if err != nil || !ok {
-		return ok, err
-	}
-	for k, jp := range b.p.joins {
-		rrows, rok, err := b.scanFiltered(k+1, stats)
-		if err != nil || !rok {
-			return rok, err
+// runMulti materializes each scan's filtered rows, joins level by level,
+// and projects the joined rows in windows. Row order: left rows in
+// order, and within one left row its matches in right scan order.
+func (p *selectPlan) runMulti(sink *projSink, stats *Stats) error {
+	var rows []sqlval.Row
+	for k, sp := range p.scans {
+		scanned, err := sp.scanFiltered(stats)
+		if err != nil {
+			return err
 		}
-		if bj := b.joins[k]; bj != nil {
-			lrows, ok, err = b.joinBatch(k, jp, lrows, rrows)
-			if err != nil || !ok {
-				return ok, err
-			}
-		} else if lrows, err = jp.join(lrows, rrows); err != nil {
-			return true, err
+		sp.choice.observeEstimate(int64(len(scanned)))
+		if k == 0 {
+			rows = scanned
+		} else if rows, err = p.joins[k-1].join(rows, scanned, sp); err != nil {
+			return err
 		}
 	}
-	ctx := b.p.proj.getCtx()
-	defer b.p.proj.putCtx(ctx)
-	for start := 0; start < len(lrows); start += batchSize {
-		end := start + batchSize
-		if end > len(lrows) {
-			end = len(lrows)
-		}
-		ctx.rows = lrows[start:end]
-		ctx.begin()
-		ok, err := sink.addBatch(ctx)
-		if err != nil || !ok {
-			return ok, err
-		}
-	}
-	return true, nil
+	return p.proj.addRows(sink, rows)
 }
 
-// joinBatch hash-joins one level: key columns are loaded and evaluated a
-// batch at a time on both sides, then rows hash and probe through the
-// same chain structure as joinPlan.join (NULL keys never match). The
-// residual predicate stays row-compiled.
-func (b *batchPlan) joinBatch(k int, jp *joinPlan, lrows, rrows []sqlval.Row) ([]sqlval.Row, bool, error) {
-	bj := b.joins[k]
-	nk := len(bj.rkeys)
-
-	type bentry struct {
-		row  sqlval.Row
-		keys sqlval.Row
+// join combines the accumulated left rows with one scan's rows. With
+// equi-keys, key columns are loaded and evaluated a batch at a time on
+// both sides, then rows hash and probe through per-hash chains (NULL
+// keys never match); without, every pair joins. The residual predicate
+// then filters the joined rows in place. rs is the right rows' scan,
+// whose batch contexts evaluate the right-side keys.
+func (jp *joinPlan) join(lrows, rrows []sqlval.Row, rs *scanPlan) ([]sqlval.Row, error) {
+	concat := func(l, r sqlval.Row) sqlval.Row {
+		nr := make(sqlval.Row, 0, jp.width)
+		nr = append(nr, l...)
+		return append(nr, r...)
 	}
-	build := make(map[uint64][]bentry, len(rrows))
-	rctx := b.scans[k+1].get()
-	defer b.scans[k+1].put(rctx)
-	rvecs := make([]*vec, nk)
-	for start := 0; start < len(rrows); start += batchSize {
-		end := start + batchSize
-		if end > len(rrows) {
-			end = len(rrows)
-		}
-		rctx.rows = rrows[start:end]
-		rctx.begin()
-		if !rctx.loadCols(bj.roffs) {
-			return nil, false, nil
-		}
-		for i := range bj.rkeys {
-			rvecs[i] = bj.rkeys[i].eval(rctx)
-		}
-		for _, i := range rctx.sel {
-			keys := make(sqlval.Row, nk)
-			var h uint64 = 1469598103934665603
-			for kk, kv := range rvecs {
-				val := kv.value(i)
-				keys[kk] = val
-				h = h*1099511628211 ^ val.Hash()
+	var joined []sqlval.Row
+	if nk := len(jp.lkeys); nk == 0 {
+		joined = make([]sqlval.Row, 0, len(lrows)*len(rrows))
+		for _, lr := range lrows {
+			for _, rr := range rrows {
+				joined = append(joined, concat(lr, rr))
 			}
-			build[h] = append(build[h], bentry{row: rctx.rows[i], keys: keys})
 		}
-	}
+	} else {
+		type bentry struct {
+			row  sqlval.Row
+			keys sqlval.Row
+		}
+		build := make(map[uint64][]bentry, len(rrows))
+		rctx := rs.ctxs.get()
+		defer rs.ctxs.put(rctx)
+		kvecs := make([]*vec, nk)
+		for start := 0; start < len(rrows); start += batchSize {
+			rctx.begin(rrows[start:min(start+batchSize, len(rrows))])
+			if err := rctx.loadCols(jp.roffs); err != nil {
+				return nil, err
+			}
+			for i := range jp.rkeys {
+				kvecs[i] = jp.rkeys[i].eval(rctx)
+			}
+			for _, i := range rctx.sel {
+				keys := make(sqlval.Row, nk)
+				var h uint64 = 1469598103934665603
+				for kk, kv := range kvecs {
+					val := kv.value(i)
+					keys[kk] = val
+					h = h*1099511628211 ^ val.Hash()
+				}
+				build[h] = append(build[h], bentry{row: rctx.rows[i], keys: keys})
+			}
+		}
 
-	lctx := bj.get()
-	defer bj.put(lctx)
-	lvecs := make([]*vec, nk)
-	joined := make([]sqlval.Row, 0, len(lrows))
-	for start := 0; start < len(lrows); start += batchSize {
-		end := start + batchSize
-		if end > len(lrows) {
-			end = len(lrows)
-		}
-		lctx.rows = lrows[start:end]
-		lctx.begin()
-		if !lctx.loadCols(bj.loffs) {
-			return nil, false, nil
-		}
-		for i := range bj.lkeys {
-			lvecs[i] = bj.lkeys[i].eval(lctx)
-		}
-		for _, i := range lctx.sel {
-			var h uint64 = 1469598103934665603
-			for _, kv := range lvecs {
-				h = h*1099511628211 ^ kv.value(i).Hash()
+		lctx := jp.lctxs.get()
+		defer jp.lctxs.put(lctx)
+		joined = make([]sqlval.Row, 0, len(lrows))
+		for start := 0; start < len(lrows); start += batchSize {
+			lctx.begin(lrows[start:min(start+batchSize, len(lrows))])
+			if err := lctx.loadCols(jp.loffs); err != nil {
+				return nil, err
 			}
-			for _, cand := range build[h] {
-				eq := true
-				for kk, kv := range lvecs {
-					lv := kv.value(i)
-					if lv.IsNull() || cand.keys[kk].IsNull() || !sqlval.Equal(lv, cand.keys[kk]) {
-						eq = false
-						break
+			for i := range jp.lkeys {
+				kvecs[i] = jp.lkeys[i].eval(lctx)
+			}
+			for _, i := range lctx.sel {
+				var h uint64 = 1469598103934665603
+				for _, kv := range kvecs {
+					h = h*1099511628211 ^ kv.value(i).Hash()
+				}
+				for _, cand := range build[h] {
+					eq := true
+					for kk, kv := range kvecs {
+						lv := kv.value(i)
+						if lv.IsNull() || cand.keys[kk].IsNull() || !sqlval.Equal(lv, cand.keys[kk]) {
+							eq = false
+							break
+						}
+					}
+					if eq {
+						joined = append(joined, concat(lctx.rows[i], cand.row))
 					}
 				}
-				if !eq {
-					continue
-				}
-				nr := make(sqlval.Row, 0, jp.width)
-				nr = append(nr, lctx.rows[i]...)
-				nr = append(nr, cand.row...)
-				joined = append(joined, nr)
 			}
 		}
 	}
@@ -356,7 +241,7 @@ func (b *batchPlan) joinBatch(k int, jp *joinPlan, lrows, rrows []sqlval.Row) ([
 		for _, row := range joined {
 			ok, err := jp.residual(row)
 			if err != nil {
-				return nil, true, err
+				return nil, err
 			}
 			if ok {
 				filtered = append(filtered, row)
@@ -364,169 +249,47 @@ func (b *batchPlan) joinBatch(k int, jp *joinPlan, lrows, rrows []sqlval.Row) ([
 		}
 		joined = filtered
 	}
-	return joined, true, nil
+	return joined, nil
 }
 
-// --- batched projection/aggregation ------------------------------------
-
-// batchProj is the vectorized projection tail compiled alongside a
-// projPlan: output and ORDER BY expressions for plain selects, group
-// keys and aggregate arguments for grouped ones. HAVING and per-group
-// output evaluation stay on the row path (once per group, not per row).
-type batchProj struct {
-	offs  []int
-	outs  []bOut // non-grouped output expressions
-	order []bOrderSource
-	keys  []bOut  // grouped: GROUP BY keys
-	args  []*bval // grouped: aggregate argument per call; nil = COUNT(*)
-}
-
-// bOut is one projection source: a bare column read straight off the
-// joined row (col >= 0), or a compiled vector program. Bare columns —
-// the dominant SELECT-list shape — skip the row-to-column transposition
-// a vector evaluation would need just to box the values back out.
-type bOut struct {
-	ev  *bval
-	col int
-}
-
-// bareCol resolves e to a direct column offset when it is a plain
-// reference; returning -1 sends the expression to the vector compiler.
-func bareCol(f *frame, e Expr) int {
-	if cr, ok := e.(*ColumnRef); ok {
-		if off, err := f.resolve(cr); err == nil {
-			return off
-		}
-	}
-	return -1
-}
-
-// bOrderSource is the batch twin of orderSource: a bare column, a
-// compiled key expression, or the output column to reuse for a select
-// alias.
-type bOrderSource struct {
-	ev    *bval
-	col   int
-	alias int
-}
-
-// compileBatchProj builds the batch projection for pp over the execution
-// frame f, or nil when any expression is not batch-compilable.
-func compileBatchProj(f *frame, pp *projPlan) *batchProj {
-	var ns, nps int
-	c := newBcomp(f, &ns, &nps)
-	bp := &batchProj{}
-	if pp.grouped {
-		for _, e := range pp.stmt.GroupBy {
-			if off := bareCol(f, e); off >= 0 {
-				bp.keys = append(bp.keys, bOut{col: off})
-				continue
-			}
-			bv, err := c.compileValue(e)
-			if err != nil {
-				return nil
-			}
-			ev := bv
-			bp.keys = append(bp.keys, bOut{ev: &ev, col: -1})
-		}
-		for _, name := range pp.coll.order {
-			call := pp.coll.calls[name]
-			if call.Star {
-				bp.args = append(bp.args, nil)
-				continue
-			}
-			bv, err := c.compileValue(call.Args[0])
-			if err != nil {
-				return nil
-			}
-			arg := bv
-			bp.args = append(bp.args, &arg)
-		}
-	} else {
-		for _, e := range pp.outAST {
-			if off := bareCol(f, e); off >= 0 {
-				bp.outs = append(bp.outs, bOut{col: off})
-				continue
-			}
-			bv, err := c.compileValue(e)
-			if err != nil {
-				return nil
-			}
-			ev := bv
-			bp.outs = append(bp.outs, bOut{ev: &ev, col: -1})
-		}
-		for i, src := range pp.order {
-			if src.eval == nil {
-				bp.order = append(bp.order, bOrderSource{alias: src.alias, col: -1})
-				continue
-			}
-			if off := bareCol(f, pp.stmt.OrderBy[i].Expr); off >= 0 {
-				bp.order = append(bp.order, bOrderSource{col: off, alias: -1})
-				continue
-			}
-			bv, err := c.compileValue(pp.stmt.OrderBy[i].Expr)
-			if err != nil {
-				return nil
-			}
-			ev := bv
-			bp.order = append(bp.order, bOrderSource{ev: &ev, col: -1, alias: -1})
-		}
-	}
-	bp.offs = c.offsets()
-	return bp
-}
-
-func (pp *projPlan) getCtx() *bctx {
-	if c, ok := pp.bpPool.Get().(*bctx); ok && c != nil {
-		c.mismatch = false
-		c.rows = c.own[:0]
-		return c
-	}
-	return newBctx(pp.bpKinds)
-}
-
-func (pp *projPlan) putCtx(c *bctx) { pp.bpPool.Put(c) }
-
-// addBatch consumes one filtered batch of input rows. Returns false on a
-// column kind mismatch (caller reruns in row mode with a fresh sink).
-func (s *projSink) addBatch(ctx *bctx) (bool, error) {
+// addBatch consumes one filtered batch of input rows.
+func (s *projSink) addBatch(ctx *bctx) error {
 	pp := s.pp
-	bp := pp.bp
-	if !ctx.loadCols(bp.offs) {
-		return false, nil
+	if err := ctx.loadCols(pp.offs); err != nil {
+		return err
 	}
 	sel := ctx.sel
 
 	if pp.grouped {
 		if s.kvecs == nil {
-			s.kvecs = make([]*vec, len(bp.keys))
+			s.kvecs = make([]*vec, len(pp.keys))
 			s.gbuf = make([]*group, 0, batchSize)
 		}
-		for k := range bp.keys {
-			if bp.keys[k].ev != nil {
-				s.kvecs[k] = bp.keys[k].ev.eval(ctx)
+		for k := range pp.keys {
+			if pp.keys[k].ev != nil {
+				s.kvecs[k] = pp.keys[k].ev.eval(ctx)
 			}
 		}
 		kval := func(k int, i int32) sqlval.Value {
-			if off := bp.keys[k].col; off >= 0 {
+			if off := pp.keys[k].col; off >= 0 {
 				return ctx.rows[i][off]
 			}
 			return s.kvecs[k].value(i)
 		}
-		// Assign every selected row to its group (same FNV fold and
-		// candidate-chain probe as projSink.add), then accumulate each
-		// aggregate over the whole batch with the lane switch hoisted
-		// out of the row loop.
+		// Assign every selected row to its group (FNV fold over the key
+		// values, then a candidate-chain probe), then accumulate each
+		// aggregate over the whole batch with the lane switch hoisted out
+		// of the row loop.
 		s.gbuf = s.gbuf[:0]
 		for _, i := range sel {
 			var h uint64 = 14695981039346656037
-			for k := range bp.keys {
+			for k := range pp.keys {
 				h = h*1099511628211 ^ kval(k, i).Hash()
 			}
 			var g *group
 			for _, cand := range s.groups[h] {
 				same := true
-				for k := range bp.keys {
+				for k := range pp.keys {
 					if !sqlval.Equal(cand.key[k], kval(k, i)) {
 						same = false
 						break
@@ -538,8 +301,8 @@ func (s *projSink) addBatch(ctx *bctx) (bool, error) {
 				}
 			}
 			if g == nil {
-				key := make(sqlval.Row, len(bp.keys))
-				for k := range bp.keys {
+				key := make(sqlval.Row, len(pp.keys))
+				for k := range pp.keys {
 					key[k] = kval(k, i)
 				}
 				g = pp.newGroup(key, ctx.rows[i])
@@ -548,68 +311,68 @@ func (s *projSink) addBatch(ctx *bctx) (bool, error) {
 			}
 			s.gbuf = append(s.gbuf, g)
 		}
-		for k, arg := range bp.args {
+		for k, arg := range pp.args {
 			s.accumVec(k, arg, ctx)
 		}
-		return true, nil
+		return nil
 	}
 
 	if s.ovecs == nil {
-		s.ovecs = make([]*vec, len(bp.outs))
-		s.okeys = make([]*vec, len(bp.order))
+		s.ovecs = make([]*vec, len(pp.outs))
+		s.okeys = make([]*vec, len(pp.order))
 	}
-	for e := range bp.outs {
-		if bp.outs[e].ev != nil {
-			s.ovecs[e] = bp.outs[e].ev.eval(ctx)
+	for e := range pp.outs {
+		if pp.outs[e].ev != nil {
+			s.ovecs[e] = pp.outs[e].ev.eval(ctx)
 		}
 	}
-	for o := range bp.order {
-		if bp.order[o].ev != nil {
-			s.okeys[o] = bp.order[o].ev.eval(ctx)
+	for o := range pp.order {
+		if pp.order[o].ev != nil {
+			s.okeys[o] = pp.order[o].ev.eval(ctx)
 		}
 	}
 	// One slab per batch backs every output row (and one the order
 	// keys): n small per-row allocations collapse into one or two.
-	width := len(bp.outs)
+	width := len(pp.outs)
 	flat := make(sqlval.Row, len(sel)*width)
 	var kflat sqlval.Row
-	if len(bp.order) > 0 {
-		kflat = make(sqlval.Row, len(sel)*len(bp.order))
+	if len(pp.order) > 0 {
+		kflat = make(sqlval.Row, len(sel)*len(pp.order))
 	}
 	for j, i := range sel {
 		out := flat[j*width : (j+1)*width : (j+1)*width]
-		for e := range bp.outs {
-			if off := bp.outs[e].col; off >= 0 {
+		for e := range pp.outs {
+			if off := pp.outs[e].col; off >= 0 {
 				out[e] = ctx.rows[i][off]
 			} else {
 				out[e] = s.ovecs[e].value(i)
 			}
 		}
 		var keys sqlval.Row
-		if len(bp.order) > 0 {
-			w := len(bp.order)
+		if len(pp.order) > 0 {
+			w := len(pp.order)
 			keys = kflat[j*w : (j+1)*w : (j+1)*w]
-			for o := range bp.order {
+			for o := range pp.order {
 				switch {
-				case bp.order[o].ev != nil:
+				case pp.order[o].ev != nil:
 					keys[o] = s.okeys[o].value(i)
-				case bp.order[o].col >= 0:
-					keys[o] = ctx.rows[i][bp.order[o].col]
+				case pp.order[o].col >= 0:
+					keys[o] = ctx.rows[i][pp.order[o].col]
 				default:
-					keys[o] = out[bp.order[o].alias]
+					keys[o] = out[pp.order[o].alias]
 				}
 			}
 		}
 		s.outs = append(s.outs, sortRow{out: out, keys: keys})
 	}
-	return true, nil
+	return nil
 }
 
 // accumVec folds one aggregate's argument vector into the batch's group
 // states. Accumulation order is ascending row order, so float sums are
-// bit-identical to the row path; the per-lane update bodies mirror
-// aggState.add case by case (including sum += AsFloat on every non-NULL
-// input, and isInt clearing for non-INT inputs).
+// deterministic; the per-lane update bodies mirror aggState.add case by
+// case (including sum += AsFloat on every non-NULL input, and isInt
+// clearing for non-INT inputs).
 func (s *projSink) accumVec(k int, arg *bval, ctx *bctx) {
 	sel := ctx.sel
 	if arg == nil { // COUNT(*): every row counts

@@ -9,25 +9,12 @@ import (
 	"bestpeer/internal/sqlval"
 )
 
-// Three-way differential fuzzing for the vectorized executor: the
-// tree-walking interpreter, the row-at-a-time compiled closures, and
-// the batch-at-a-time vector path must agree on every result row (in
-// order) and on the Stats record. The interpreter remains the oracle;
-// the row-compiled path is the bridge that localizes a disagreement to
-// either the closure compiler or the vectorizer.
-
-// setModes flips the global execution switches and restores the
-// previous values when the test finishes.
-func setModes(t *testing.T, compile, batch bool) {
-	t.Helper()
-	prevC, prevB := CompileEnabled(), BatchEnabled()
-	t.Cleanup(func() {
-		SetCompileEnabled(prevC)
-		SetBatchEnabled(prevB)
-	})
-	SetCompileEnabled(compile)
-	SetBatchEnabled(batch)
-}
+// The vector edge suite: data sets and statement shapes that exercise
+// the batch kernels where they are most likely to go wrong — batches
+// that straddle the 1024-row boundary, empty inputs, all-filtered
+// selections, NULL three-valued logic — plus one case per shape the
+// batch path had to learn to become the only path. Every query is held
+// against the reference executor (queryMatchesOracle).
 
 // batchFuzzRows generates one deterministic data set for the fact
 // table: enough rows that batches straddle the 1024-row boundary, with
@@ -135,88 +122,24 @@ func randomBatchStatement(rng *rand.Rand) string {
 	}
 }
 
-// TestStatementsThreeWayDifferential runs random statements through all
-// three execution modes against identical databases. Every pair must
-// agree on rows, order, and Stats.
-func TestStatementsThreeWayDifferential(t *testing.T) {
-	setModes(t, true, true)
-	rng := rand.New(rand.NewSource(20260808))
-	facts := batchFuzzRows(rng, 1500)
-	interp := batchFuzzDB(t, facts)
-	rowc := batchFuzzDB(t, facts)
-	batch := batchFuzzDB(t, facts)
-	for trial := 0; trial < 200; trial++ {
-		sql := randomBatchStatement(rng)
-		SetCompileEnabled(false)
-		SetBatchEnabled(false)
-		iRes, iErr := interp.Query(sql)
-		SetCompileEnabled(true)
-		rRes, rErr := rowc.Query(sql)
-		SetBatchEnabled(true)
-		bRes, bErr := batch.Query(sql)
-		if !sameError(iErr, rErr) || !sameError(iErr, bErr) {
-			t.Fatalf("trial %d: %q: interp err %v, row err %v, batch err %v", trial, sql, iErr, rErr, bErr)
-		}
-		if iErr != nil {
-			continue
-		}
-		if rowsKey(iRes) != rowsKey(rRes) {
-			t.Fatalf("trial %d: %q rows differ (interp vs row-compiled)\ninterp:\n%srow:\n%s",
-				trial, sql, rowsKey(iRes), rowsKey(rRes))
-		}
-		if rowsKey(iRes) != rowsKey(bRes) {
-			t.Fatalf("trial %d: %q rows differ (interp vs batch)\ninterp:\n%sbatch:\n%s",
-				trial, sql, rowsKey(iRes), rowsKey(bRes))
-		}
-		if iRes.Stats != rRes.Stats || iRes.Stats != bRes.Stats {
-			t.Fatalf("trial %d: %q stats differ: interp %+v, row %+v, batch %+v",
-				trial, sql, iRes.Stats, rRes.Stats, bRes.Stats)
-		}
-	}
-}
-
-// mustQuery2 runs sql with batch on and off and requires identical rows
-// and Stats, returning the batch-mode result for further checks.
-func mustQuery2(t *testing.T, db *DB, sql string) *Result {
-	t.Helper()
-	SetBatchEnabled(false)
-	want, err := db.Query(sql)
-	if err != nil {
-		t.Fatalf("row mode %q: %v", sql, err)
-	}
-	SetBatchEnabled(true)
-	got, err := db.Query(sql)
-	if err != nil {
-		t.Fatalf("batch mode %q: %v", sql, err)
-	}
-	if rowsKey(want) != rowsKey(got) {
-		t.Fatalf("%q rows differ\nrow:\n%sbatch:\n%s", sql, rowsKey(want), rowsKey(got))
-	}
-	if want.Stats != got.Stats {
-		t.Fatalf("%q stats differ: row %+v, batch %+v", sql, want.Stats, got.Stats)
-	}
-	return got
-}
-
 // TestBatchEmptyTable drives the vector path over zero rows: scans,
 // filters, global and grouped aggregates must all shape correctly with
 // no batches produced.
 func TestBatchEmptyTable(t *testing.T) {
-	setModes(t, true, true)
 	db := NewDB()
 	mustExec(t, db, `CREATE TABLE e (a INT, b FLOAT, c DATE)`)
-	res := mustQuery2(t, db, `SELECT a, b FROM e WHERE a > 0`)
+	res := queryMatchesOracle(t, db, `SELECT a, b FROM e WHERE a > 0`)
 	if len(res.Rows) != 0 {
 		t.Fatalf("rows = %d, want 0", len(res.Rows))
 	}
-	res = mustQuery2(t, db, `SELECT COUNT(*), SUM(b), MIN(c) FROM e`)
+	res = queryMatchesOracle(t, db, `SELECT COUNT(*), SUM(b), MIN(c) FROM e`)
 	if len(res.Rows) != 1 {
 		t.Fatalf("aggregate rows = %d, want 1", len(res.Rows))
 	}
 	if res.Rows[0][0].AsInt() != 0 || !res.Rows[0][1].IsNull() || !res.Rows[0][2].IsNull() {
 		t.Fatalf("empty aggregate = %v, want 0, NULL, NULL", res.Rows[0])
 	}
-	res = mustQuery2(t, db, `SELECT a, COUNT(*) FROM e GROUP BY a`)
+	res = queryMatchesOracle(t, db, `SELECT a, COUNT(*) FROM e GROUP BY a`)
 	if len(res.Rows) != 0 {
 		t.Fatalf("grouped rows = %d, want 0", len(res.Rows))
 	}
@@ -225,14 +148,13 @@ func TestBatchEmptyTable(t *testing.T) {
 // TestBatchAllRowsFiltered exercises selection bitmaps that come up
 // empty on every batch: the filter drops all 1500 rows.
 func TestBatchAllRowsFiltered(t *testing.T) {
-	setModes(t, true, true)
 	rng := rand.New(rand.NewSource(7))
 	db := batchFuzzDB(t, batchFuzzRows(rng, 1500))
-	res := mustQuery2(t, db, `SELECT f_id FROM fact WHERE f_id < 0`)
+	res := queryMatchesOracle(t, db, `SELECT f_id FROM fact WHERE f_id < 0`)
 	if len(res.Rows) != 0 {
 		t.Fatalf("rows = %d, want 0", len(res.Rows))
 	}
-	res = mustQuery2(t, db, `SELECT SUM(f_price), COUNT(*) FROM fact WHERE f_dim > 1000`)
+	res = queryMatchesOracle(t, db, `SELECT SUM(f_price), COUNT(*) FROM fact WHERE f_dim > 1000`)
 	if !res.Rows[0][0].IsNull() || res.Rows[0][1].AsInt() != 0 {
 		t.Fatalf("filtered-out aggregate = %v, want NULL, 0", res.Rows[0])
 	}
@@ -242,7 +164,6 @@ func TestBatchAllRowsFiltered(t *testing.T) {
 // straddle the 1024-row batch boundary: full batches, a partial tail,
 // and filters whose qualifying rows cross the boundary.
 func TestBatchBoundaryStraddle(t *testing.T) {
-	setModes(t, true, true)
 	db := NewDB()
 	mustExec(t, db, `CREATE TABLE seq (id INT PRIMARY KEY, v INT)`)
 	const n = 2600 // 2 full batches + 552-row tail
@@ -251,7 +172,7 @@ func TestBatchBoundaryStraddle(t *testing.T) {
 			t.Fatalf("InsertRow: %v", err)
 		}
 	}
-	res := mustQuery2(t, db, `SELECT COUNT(*), SUM(id) FROM seq`)
+	res := queryMatchesOracle(t, db, `SELECT COUNT(*), SUM(id) FROM seq`)
 	if got := res.Rows[0][0].AsInt(); got != n {
 		t.Fatalf("COUNT(*) = %d, want %d", got, n)
 	}
@@ -259,12 +180,12 @@ func TestBatchBoundaryStraddle(t *testing.T) {
 		t.Fatalf("SUM(id) = %d, want %d", got, int64(n)*(n-1)/2)
 	}
 	// Qualifying rows 1020..1030 straddle the first boundary.
-	res = mustQuery2(t, db, `SELECT id FROM seq WHERE id BETWEEN 1020 AND 1030 ORDER BY id`)
+	res = queryMatchesOracle(t, db, `SELECT id FROM seq WHERE id BETWEEN 1020 AND 1030 ORDER BY id`)
 	if len(res.Rows) != 11 || res.Rows[0][0].AsInt() != 1020 || res.Rows[10][0].AsInt() != 1030 {
 		t.Fatalf("straddle filter = %d rows (%v..%v)", len(res.Rows), res.Rows[0][0], res.Rows[len(res.Rows)-1][0])
 	}
 	// Exactly one batch worth of qualifying rows.
-	res = mustQuery2(t, db, `SELECT COUNT(*) FROM seq WHERE id < 1024`)
+	res = queryMatchesOracle(t, db, `SELECT COUNT(*) FROM seq WHERE id < 1024`)
 	if got := res.Rows[0][0].AsInt(); got != 1024 {
 		t.Fatalf("COUNT(id<1024) = %d, want 1024", got)
 	}
@@ -273,7 +194,6 @@ func TestBatchBoundaryStraddle(t *testing.T) {
 // TestBatchNullHandling pins three-valued logic through the vector
 // kernels: NULL operands in filters, aggregates, and join keys.
 func TestBatchNullHandling(t *testing.T) {
-	setModes(t, true, true)
 	db := NewDB()
 	mustExec(t, db, `CREATE TABLE nt (id INT, x INT, s STRING)`)
 	for i := 0; i < 1100; i++ {
@@ -290,27 +210,27 @@ func TestBatchNullHandling(t *testing.T) {
 	}
 	// NULL comparisons are unknown, so neither x > 3 nor NOT (x > 3)
 	// admits a NULL row: the two counts partition the non-NULL rows.
-	a := mustQuery2(t, db, `SELECT COUNT(*) FROM nt WHERE x > 3`).Rows[0][0].AsInt()
-	b := mustQuery2(t, db, `SELECT COUNT(*) FROM nt WHERE NOT (x > 3)`).Rows[0][0].AsInt()
-	nn := mustQuery2(t, db, `SELECT COUNT(x) FROM nt`).Rows[0][0].AsInt()
+	a := queryMatchesOracle(t, db, `SELECT COUNT(*) FROM nt WHERE x > 3`).Rows[0][0].AsInt()
+	b := queryMatchesOracle(t, db, `SELECT COUNT(*) FROM nt WHERE NOT (x > 3)`).Rows[0][0].AsInt()
+	nn := queryMatchesOracle(t, db, `SELECT COUNT(x) FROM nt`).Rows[0][0].AsInt()
 	if a+b != nn {
 		t.Fatalf("NULL partition broken: %d + %d != %d non-null", a, b, nn)
 	}
 	if nn != 1100-220 {
 		t.Fatalf("COUNT(x) = %d, want %d", nn, 1100-220)
 	}
-	res := mustQuery2(t, db, `SELECT COUNT(*) FROM nt WHERE s IS NULL`)
+	res := queryMatchesOracle(t, db, `SELECT COUNT(*) FROM nt WHERE s IS NULL`)
 	if got := res.Rows[0][0].AsInt(); got != 275 {
 		t.Fatalf("IS NULL count = %d, want 275", got)
 	}
 	// NULL never matches IN lists; NOT IN over a NULL subject is unknown.
-	res = mustQuery2(t, db, `SELECT COUNT(*) FROM nt WHERE x IN (1, 2) OR x NOT IN (0, 3)`)
+	res = queryMatchesOracle(t, db, `SELECT COUNT(*) FROM nt WHERE x IN (1, 2) OR x NOT IN (0, 3)`)
 	if res.Rows[0][0].AsInt() == 0 {
 		t.Fatal("IN/NOT IN over NULLs returned nothing")
 	}
 	// Grouped aggregate keyed by a NULL-bearing column: NULL forms its
 	// own group in GROUP BY.
-	res = mustQuery2(t, db, `SELECT x, COUNT(*), SUM(id) FROM nt GROUP BY x ORDER BY x`)
+	res = queryMatchesOracle(t, db, `SELECT x, COUNT(*), SUM(id) FROM nt GROUP BY x ORDER BY x`)
 	if len(res.Rows) != 8 { // 7 values + the NULL group
 		t.Fatalf("groups = %d, want 8", len(res.Rows))
 	}
@@ -319,14 +239,10 @@ func TestBatchNullHandling(t *testing.T) {
 // TestExplainSelect checks the EXPLAIN surface: join order, access
 // path, and estimated vs actual cardinalities for a compiled join.
 func TestExplainSelect(t *testing.T) {
-	setModes(t, true, true)
 	db := testDB(t)
 	ep, err := db.ExplainSelect(`SELECT o.o_orderkey, l.l_quantity FROM orders o, lineitem l WHERE o.o_orderkey = l.l_orderkey AND l.l_shipdate >= DATE '1998-02-01'`)
 	if err != nil {
 		t.Fatalf("ExplainSelect: %v", err)
-	}
-	if !ep.Compiled || !ep.Batch {
-		t.Fatalf("plan not on the batch path: %+v", ep)
 	}
 	if len(ep.Scans) != 2 || len(ep.JoinOrder) != 2 {
 		t.Fatalf("scans = %d, join order = %v", len(ep.Scans), ep.JoinOrder)
@@ -340,7 +256,7 @@ func TestExplainSelect(t *testing.T) {
 		}
 	}
 	text := ep.Render()
-	for _, want := range []string{"join order:", "vectorized batch", "est=", "actual="} {
+	for _, want := range []string{"join order:", "est=", "actual="} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("Render missing %q:\n%s", want, text)
 		}
@@ -348,5 +264,101 @@ func TestExplainSelect(t *testing.T) {
 	// Non-SELECT and unparsable statements are rejected, not rendered.
 	if _, err := db.ExplainSelect(`DELETE FROM orders`); err == nil {
 		t.Fatal("ExplainSelect accepted a DELETE")
+	}
+}
+
+// TestDateVsStringColumn covers a DATE compared with a non-constant
+// string in every operator and both operand orders: strings that parse
+// as dates compare as dates, the rest order by kind tag, NULLs are
+// unknown. (The batch compiler used to reject this shape.)
+func TestDateVsStringColumn(t *testing.T) {
+	db := NewDB()
+	mustExec(t, db, `CREATE TABLE ds (id INT, d DATE, s STRING)`)
+	texts := []string{"1997-06-15", "1997-06-14", "1997-06-16", "not a date", "", "1997-6-15x"}
+	for i := 0; i < 1100; i++ { // straddles one batch boundary
+		d, s := sqlval.Date(int64(10025+i%3)), sqlval.Str(texts[i%len(texts)])
+		if i%7 == 0 {
+			d = sqlval.Null()
+		}
+		if i%11 == 0 {
+			s = sqlval.Null()
+		}
+		if err := db.InsertRow("ds", sqlval.Row{sqlval.Int(int64(i)), d, s}); err != nil {
+			t.Fatalf("InsertRow: %v", err)
+		}
+	}
+	matched := 0
+	for _, op := range []string{"=", "<>", "<", "<=", ">", ">="} {
+		matched += len(queryMatchesOracle(t, db, "SELECT id FROM ds WHERE d "+op+" s").Rows)
+		matched += len(queryMatchesOracle(t, db, "SELECT id FROM ds WHERE s "+op+" d").Rows)
+	}
+	if matched == 0 {
+		t.Fatal("no date-vs-string comparison ever matched")
+	}
+	queryMatchesOracle(t, db, `SELECT d < s, COUNT(*) FROM ds GROUP BY d < s ORDER BY d < s`)
+}
+
+// TestKeylessJoin covers join levels without equi-keys: a plain cross
+// product, one filtered by a residual predicate, and a three-table join
+// whose middle level has no key. Joined row counts exceed one batch.
+func TestKeylessJoin(t *testing.T) {
+	db := NewDB()
+	mustExec(t, db, `CREATE TABLE ka (x INT, p INT)`)
+	mustExec(t, db, `CREATE TABLE kb (y INT)`)
+	mustExec(t, db, `CREATE TABLE kc (z INT, q INT)`)
+	for i := 0; i < 40; i++ {
+		mustExec(t, db, fmt.Sprintf(`INSERT INTO ka VALUES (%d, %d)`, i, i%4))
+		mustExec(t, db, fmt.Sprintf(`INSERT INTO kb VALUES (%d)`, i*2))
+	}
+	for i := 0; i < 4; i++ {
+		mustExec(t, db, fmt.Sprintf(`INSERT INTO kc VALUES (%d, %d)`, i*100, i))
+	}
+	if n := len(queryMatchesOracle(t, db, `SELECT x, y FROM ka, kb`).Rows); n != 1600 {
+		t.Fatalf("cross product rows = %d, want 1600", n)
+	}
+	res := queryMatchesOracle(t, db, `SELECT x, y FROM ka, kb WHERE x < y AND x + y > 20`)
+	if len(res.Rows) == 0 || len(res.Rows) == 1600 {
+		t.Fatalf("residual kept %d of 1600 rows", len(res.Rows))
+	}
+	queryMatchesOracle(t, db, `SELECT x, y, z FROM ka, kb, kc WHERE ka.p = kc.q AND y > x ORDER BY x, y, z`)
+	queryMatchesOracle(t, db, `SELECT COUNT(*), SUM(y) FROM ka, kb WHERE x > y`)
+}
+
+// TestKindMismatchIsAnError pins the guarantee that replaced the silent
+// row-mode rerun: rows whose values contradict their binding's declared
+// kinds (only engine-synthesized rows can; tables coerce on write) fail
+// with an error naming the column and both kinds.
+func TestKindMismatchIsAnError(t *testing.T) {
+	b := []Binding{{Alias: "partial", Schema: &Schema{Table: "partial", Columns: []Column{
+		{Name: "g0", Kind: sqlval.KindInt},
+		{Name: "a0", Kind: sqlval.KindDate},
+	}}}}
+	rows := []sqlval.Row{
+		{sqlval.Int(1), sqlval.Null()},
+		{sqlval.Int(1), sqlval.Float(10042)},
+	}
+	for _, sql := range []string{
+		`SELECT g0, SUM(a0) FROM partial GROUP BY g0`,
+		`SELECT a0 + 1 FROM partial`,
+	} {
+		stmt, err := ParseSelect(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ProjectRows(stmt, b, rows)
+		if err == nil {
+			t.Fatalf("%q over a FLOAT in a DATE column succeeded", sql)
+		}
+		for _, want := range []string{"partial.a0", "DATE", "FLOAT"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%q: error %q does not name %s", sql, err, want)
+			}
+		}
+	}
+	// Values that match their declaration — or are NULL — still project.
+	stmt, _ := ParseSelect(`SELECT g0, MAX(a0) FROM partial GROUP BY g0`)
+	rows[1][1] = sqlval.Date(10042)
+	if res, err := ProjectRows(stmt, b, rows); err != nil || len(res.Rows) != 1 {
+		t.Fatalf("well-kinded rows: %v, %v", res, err)
 	}
 }

@@ -1,28 +1,23 @@
 package sqldb
 
 import (
-	"errors"
+	"fmt"
 	"sort"
 
 	"bestpeer/internal/sqlval"
 )
 
-// This file is the batch compiler: it walks the same expression trees as
-// compileNode/compilePredNode but, instead of per-row closures, emits
-// per-BATCH programs whose inner loops are the typed primitives in
-// vector.go, specialized at compile time by the operand kinds the schema
-// declares (sound because Table.Insert coerces every stored value to its
-// column's kind or NULL).
+// This file is the batch compiler: it walks a statement's expression
+// trees once per plan and emits per-BATCH programs whose inner loops are
+// the typed primitives in vector.go, specialized at compile time by the
+// operand kinds the schema declares (sound because Table.Insert coerces
+// every stored value to its column's kind or NULL; rows the engines
+// synthesize are checked against their declared kinds when a column
+// loads).
 //
-// Semantics must be bit-identical to the row paths: every case below
-// cites the row behavior it mirrors. Expressions the batch compiler
-// cannot handle (per-row date-string parsing, unknown functions) make
-// the whole statement fall back to row-compiled closures — never a
-// silently different answer.
-
-// errBatchUnsupported marks an expression the batch compiler rejects;
-// the statement falls back to the row-compiled path.
-var errBatchUnsupported = errors.New("sqldb: not batch-compilable")
+// Semantics follow evalExpr case by case — the differential tests hold
+// every program against that interpreter — and each case below cites the
+// row behavior it reproduces.
 
 // bexpr evaluates one expression over the current batch, returning the
 // result vector (a scratch slot, a loaded column, or a shared constant).
@@ -38,47 +33,40 @@ type bpred func(ctx *bctx) *pvec
 // slots compiled nodes write into. One bctx serves one row layout; it is
 // pooled per plan so vectors are allocated once and reused every batch.
 type bctx struct {
-	kinds    []sqlval.Kind
-	n        int
-	sel      []int32
-	rows     []sqlval.Row // staged input: own[:k] (scans) or a window (joins/projection)
-	own      []sqlval.Row // the context's own accumulation buffer
-	cols     []*vec
-	loaded   []bool
-	slots    []*vec
-	pslots   []*pvec
-	selBuf   []int32
-	mismatch bool
+	f      *frame // the layout's names, for the kind-mismatch error
+	kinds  []sqlval.Kind
+	n      int
+	sel    []int32
+	rows   []sqlval.Row // the current batch: own (scans) or a window (joins/projection)
+	own    []sqlval.Row // staging buffer scans accumulate rows into
+	cols   []*vec
+	loaded []bool
+	slots  []*vec
+	pslots []*pvec
+	selBuf []int32
 }
 
-func newBctx(kinds []sqlval.Kind) *bctx {
-	own := make([]sqlval.Row, 0, batchSize)
+func newBctx(f *frame, kinds []sqlval.Kind) *bctx {
 	return &bctx{
+		f:      f,
 		kinds:  kinds,
 		cols:   make([]*vec, len(kinds)),
 		loaded: make([]bool, len(kinds)),
-		rows:   own,
-		own:    own,
+		own:    make([]sqlval.Row, 0, batchSize),
 		selBuf: make([]int32, 0, batchSize),
 	}
 }
 
-// begin starts a batch over the currently staged rows: full selection,
-// no columns loaded yet.
-func (ctx *bctx) begin() {
-	ctx.n = len(ctx.rows)
+// begin starts a batch over rows: full selection, no columns loaded yet.
+func (ctx *bctx) begin(rows []sqlval.Row) {
+	ctx.rows = rows
+	ctx.n = len(rows)
 	ctx.sel = identSel[:ctx.n]
 	for i := range ctx.loaded {
 		ctx.loaded[i] = false
 	}
 	batchesTotal.Inc()
 	batchRows.Add(int64(ctx.n))
-}
-
-// reset discards the staged rows after a batch is processed.
-func (ctx *bctx) reset() {
-	ctx.rows = ctx.rows[:0]
-	ctx.n = 0
 }
 
 // vslot returns the scratch vector for a compiled node, growing the
@@ -110,12 +98,12 @@ func (ctx *bctx) pslot(id int) *pvec {
 	return p
 }
 
-// loadCols unpacks the listed columns from the staged rows into typed
-// vectors at the current selection. Returns false when a stored value's
-// kind disagrees with the layout's declared kind — impossible for base
-// tables (Insert coerces) but conceivable for engine-synthesized row
-// sets, in which case the caller abandons the batch path for this run.
-func (ctx *bctx) loadCols(offs []int) bool {
+// loadCols unpacks the listed columns from the batch's rows into typed
+// vectors at the current selection. A stored value whose kind disagrees
+// with the layout's declared kind is an error: impossible for base
+// tables (Insert and Update coerce), so it names a fault in whoever
+// synthesized the rows (an engine's intermediate schema).
+func (ctx *bctx) loadCols(offs []int) error {
 	for _, off := range offs {
 		if ctx.loaded[off] {
 			continue
@@ -137,8 +125,7 @@ func (ctx *bctx) loadCols(offs []int) bool {
 					continue
 				}
 				if val.Kind() != kind {
-					ctx.mismatch = true
-					return false
+					return ctx.mismatch(off, val)
 				}
 				v.null[i] = false
 				v.i[i] = val.AsInt()
@@ -151,8 +138,7 @@ func (ctx *bctx) loadCols(offs []int) bool {
 					continue
 				}
 				if val.Kind() != kind {
-					ctx.mismatch = true
-					return false
+					return ctx.mismatch(off, val)
 				}
 				v.null[i] = false
 				v.f[i] = val.AsFloat()
@@ -165,18 +151,32 @@ func (ctx *bctx) loadCols(offs []int) bool {
 					continue
 				}
 				if val.Kind() != kind {
-					ctx.mismatch = true
-					return false
+					return ctx.mismatch(off, val)
 				}
 				v.null[i] = false
 				v.s[i] = val.AsString()
 			}
-		default:
-			ctx.mismatch = true
-			return false
+		default: // declared without a storable kind (a NULL literal's column): only NULLs fit
+			for _, i := range ctx.sel {
+				if val := ctx.rows[i][off]; !val.IsNull() {
+					return ctx.mismatch(off, val)
+				}
+			}
 		}
 	}
-	return true
+	return nil
+}
+
+// mismatch reports a stored value that contradicts its column's
+// declared kind.
+func (ctx *bctx) mismatch(off int, val sqlval.Value) error {
+	for _, b := range ctx.f.bindings {
+		if ci := off - b.offset; ci < len(b.schema.Columns) {
+			return fmt.Errorf("sqldb: column %s.%s is declared %s but holds a %s value",
+				b.alias, b.schema.Columns[ci].Name, ctx.kinds[off], val.Kind())
+		}
+	}
+	return fmt.Errorf("sqldb: column %d is declared %s but holds a %s value", off, ctx.kinds[off], val.Kind())
 }
 
 // bval is a compiled value-position expression: either a program or a
@@ -213,20 +213,20 @@ func constPvec(val, null bool) *pvec {
 }
 
 // bcomp is the compile-time context for one program family (a scan
-// filter, a join key set, a projection): the frame it resolves against,
-// the column offsets it needs loaded, and the scratch-slot arenas.
-// Programs from different families may share slot IDs only because they
-// never have live results at the same time on one bctx.
+// filter, one side's join keys, a projection): the frame it resolves
+// against, the column offsets it needs loaded, and the scratch-slot
+// counters. Programs from different families may share slot IDs only
+// because they never have live results at the same time on one bctx.
 type bcomp struct {
 	f       *frame
 	kinds   []sqlval.Kind
 	need    map[int]bool
-	nslots  *int
-	npslots *int
+	nslots  int
+	npslots int
 }
 
-func newBcomp(f *frame, nslots, npslots *int) *bcomp {
-	return &bcomp{f: f, kinds: frameKinds(f), need: make(map[int]bool), nslots: nslots, npslots: npslots}
+func newBcomp(f *frame) *bcomp {
+	return &bcomp{f: f, kinds: frameKinds(f), need: make(map[int]bool)}
 }
 
 // frameKinds flattens the frame's schemas into per-offset value kinds.
@@ -240,8 +240,8 @@ func frameKinds(f *frame) []sqlval.Kind {
 	return out
 }
 
-func (c *bcomp) vslot() int   { id := *c.nslots; *c.nslots++; return id }
-func (c *bcomp) pslotID() int { id := *c.npslots; *c.npslots++; return id }
+func (c *bcomp) vslot() int   { id := c.nslots; c.nslots++; return id }
+func (c *bcomp) pslotID() int { id := c.npslots; c.npslots++; return id }
 
 // offsets returns the needed column offsets in deterministic order.
 func (c *bcomp) offsets() []int {
@@ -253,7 +253,20 @@ func (c *bcomp) offsets() []int {
 	return out
 }
 
-// compileValue mirrors compileNode: one case per expression form, each
+// compileValues compiles a list of value expressions (join keys).
+func (c *bcomp) compileValues(exprs []Expr) ([]bval, error) {
+	out := make([]bval, 0, len(exprs))
+	for _, e := range exprs {
+		bv, err := c.compileValue(e)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, bv)
+	}
+	return out, nil
+}
+
+// compileValue follows evalExpr: one case per expression form, each
 // annotated with the row semantics it reproduces.
 func (c *bcomp) compileValue(e Expr) (bval, error) {
 	switch x := e.(type) {
@@ -315,11 +328,7 @@ func (c *bcomp) compileValue(e Expr) (bval, error) {
 			if err != nil {
 				return bval{}, err
 			}
-			p, err := c.compileCmp(l, r, x.Op)
-			if err != nil {
-				return bval{}, err
-			}
-			return c.predValue(p), nil
+			return c.predValue(c.compileCmp(l, r, x.Op)), nil
 		}
 
 	case *Unary:
@@ -367,14 +376,7 @@ func (c *bcomp) compileValue(e Expr) (bval, error) {
 		if err != nil {
 			return bval{}, err
 		}
-		ge, err := c.compileCmp(ev, lo, ">=")
-		if err != nil {
-			return bval{}, err
-		}
-		le, err := c.compileCmp(ev, hi, "<=")
-		if err != nil {
-			return bval{}, err
-		}
+		ge, le := c.compileCmp(ev, lo, ">="), c.compileCmp(ev, hi, "<=")
 		ps := c.pslotID()
 		var p bpred = func(ctx *bctx) *pvec {
 			g, l := ge(ctx), le(ctx)
@@ -406,9 +408,7 @@ func (c *bcomp) compileValue(e Expr) (bval, error) {
 			if err != nil {
 				return bval{}, err
 			}
-			if eqs[i], err = c.compileCmp(ev, iv, "="); err != nil {
-				return bval{}, err
-			}
+			eqs[i] = c.compileCmp(ev, iv, "=")
 		}
 		acc, outp := c.pslotID(), c.pslotID()
 		not := x.Not
@@ -438,10 +438,13 @@ func (c *bcomp) compileValue(e Expr) (bval, error) {
 			return out
 		}), nil
 
+	case *FuncCall:
+		if isAggregateName(x.Name) {
+			return bval{}, fmt.Errorf("sqldb: aggregate %s outside aggregation context", x.Name)
+		}
+		return bval{}, fmt.Errorf("sqldb: unknown function %s", x.Name)
 	default:
-		// FuncCall and anything new: the row compiler rejects these too,
-		// so interpreter fallback already owns the semantics.
-		return bval{}, errBatchUnsupported
+		return bval{}, fmt.Errorf("sqldb: cannot evaluate %T", e)
 	}
 }
 
@@ -543,35 +546,38 @@ func (c *bcomp) asFloat(b bval) bexpr {
 }
 
 // compileCmp compiles one comparison, dispatching on the static operand
-// kinds the way comparatorFor dispatches on runtime kinds:
+// kinds the way compareCoerced dispatches on runtime kinds:
 //   - equal kinds use the typed lane loop;
 //   - mixed number-line kinds (INT, FLOAT, DATE) widen to float;
-//   - a DATE vs constant-string pair parses the string once here (the
-//     row path parses per row); unparseable strings and any pairing that
-//     sqlval.Compare orders by kind tag become constant-outcome loops;
-//   - a DATE vs non-constant string would need a per-row parse, so the
-//     statement falls back to row mode.
-func (c *bcomp) compileCmp(l, r bval, op string) (bpred, error) {
-	lt, eq, gt, ok := opMasks(op)
-	if !ok {
-		return nil, errBatchUnsupported
-	}
+//   - a DATE vs constant-string pair parses the string once here;
+//     unparseable strings and any pairing that sqlval.Compare orders by
+//     kind tag become constant-outcome loops;
+//   - a DATE vs non-constant string parses per row (cmpDateStrVV).
+//
+// An operator outside the six comparisons has an all-false mask, so
+// every loop yields false on non-NULL operands, as compareCoerced does.
+func (c *bcomp) compileCmp(l, r bval, op string) bpred {
+	lt, eq, gt := opMasks(op)
 	if l.isConst() && r.isConst() {
 		if l.cval.IsNull() || r.cval.IsNull() {
 			p := constPvec(false, true)
-			return func(*bctx) *pvec { return p }, nil
+			return func(*bctx) *pvec { return p }
 		}
-		cmp := comparatorFor(op)
-		p := constPvec(cmp(l.cval, r.cval), false)
-		return func(*bctx) *pvec { return p }, nil
+		p := constPvec(compareCoerced(l.cval, r.cval, op), false)
+		return func(*bctx) *pvec { return p }
 	}
 	if l.kind == sqlval.KindNull || r.kind == sqlval.KindNull {
 		p := constPvec(false, true)
-		return func(*bctx) *pvec { return p }, nil
+		return func(*bctx) *pvec { return p }
 	}
+	ps := c.pslotID()
 	if l.kind == sqlval.KindDate && r.kind == sqlval.KindString {
 		if !r.isConst() {
-			return nil, errBatchUnsupported // would need a per-row parse
+			return func(ctx *bctx) *pvec {
+				out := ctx.pslot(ps)
+				cmpDateStrVV(l.eval(ctx), r.eval(ctx), out, ctx.sel, lt, eq, gt)
+				return out
+			}
 		}
 		if d, err := sqlval.ParseDate(r.cval.AsString()); err == nil {
 			r = bconst(d)
@@ -579,7 +585,13 @@ func (c *bcomp) compileCmp(l, r bval, op string) (bpred, error) {
 	}
 	if r.kind == sqlval.KindDate && l.kind == sqlval.KindString {
 		if !l.isConst() {
-			return nil, errBatchUnsupported
+			// s op d holds exactly when d op' s does, op' being op with
+			// < and > swapped.
+			return func(ctx *bctx) *pvec {
+				out := ctx.pslot(ps)
+				cmpDateStrVV(r.eval(ctx), l.eval(ctx), out, ctx.sel, gt, eq, lt)
+				return out
+			}
 		}
 		if d, err := sqlval.ParseDate(l.cval.AsString()); err == nil {
 			l = bconst(d)
@@ -588,33 +600,32 @@ func (c *bcomp) compileCmp(l, r bval, op string) (bpred, error) {
 	numLike := func(k sqlval.Kind) bool {
 		return k == sqlval.KindInt || k == sqlval.KindFloat || k == sqlval.KindDate
 	}
-	ps := c.pslotID()
 	switch {
 	case l.kind == r.kind && (l.kind == sqlval.KindInt || l.kind == sqlval.KindDate):
 		return func(ctx *bctx) *pvec {
 			out := ctx.pslot(ps)
 			cmpIntVV(l.eval(ctx), r.eval(ctx), out, ctx.sel, lt, eq, gt)
 			return out
-		}, nil
+		}
 	case l.kind == r.kind && l.kind == sqlval.KindFloat:
 		return func(ctx *bctx) *pvec {
 			out := ctx.pslot(ps)
 			cmpFloatVV(l.eval(ctx), r.eval(ctx), out, ctx.sel, lt, eq, gt)
 			return out
-		}, nil
+		}
 	case l.kind == r.kind && l.kind == sqlval.KindString:
 		return func(ctx *bctx) *pvec {
 			out := ctx.pslot(ps)
 			cmpStrVV(l.eval(ctx), r.eval(ctx), out, ctx.sel, lt, eq, gt)
 			return out
-		}, nil
+		}
 	case numLike(l.kind) && numLike(r.kind):
 		lf, rf := c.asFloat(l), c.asFloat(r)
 		return func(ctx *bctx) *pvec {
 			out := ctx.pslot(ps)
 			cmpFloatVV(lf(ctx), rf(ctx), out, ctx.sel, lt, eq, gt)
 			return out
-		}, nil
+		}
 	default:
 		// Different kinds, not both number-line: sqlval.Compare orders by
 		// kind tag, so the non-NULL outcome is a compile-time constant.
@@ -627,11 +638,11 @@ func (c *bcomp) compileCmp(l, r bval, op string) (bpred, error) {
 			out := ctx.pslot(ps)
 			cmpConstResult(l.eval(ctx), r.eval(ctx), out, ctx.sel, res)
 			return out
-		}, nil
+		}
 	}
 }
 
-// compilePred mirrors compilePredNode: AND/OR collapse each child's NULL
+// compilePred is compileValue for predicate position: AND/OR collapse each child's NULL
 // to false; comparisons and IS NULL compile directly; everything else
 // goes through value truthiness with NULLs kept for the consumer.
 func (c *bcomp) compilePred(e Expr) (bpred, error) {
@@ -670,7 +681,7 @@ func (c *bcomp) compilePred(e Expr) (bpred, error) {
 			if err != nil {
 				return nil, err
 			}
-			return c.compileCmp(l, r, x.Op)
+			return c.compileCmp(l, r, x.Op), nil
 		}
 	case *IsNull:
 		ev, err := c.compileValue(x.E)

@@ -12,10 +12,12 @@ import (
 // reference to its row offset up front, and returns flat closures that
 // evaluate against rows with no per-row name resolution or tree walk.
 // Semantics mirror evalExpr/evalPred exactly (SQL unknown-is-false
-// predicates, AND/OR short circuit, date-string coercion); the
-// interpreter is retained both as the fallback for expressions the
-// compiler rejects and as the baseline the differential fuzz test and
-// make bench-exec compare against.
+// predicates, AND/OR short circuit, date-string coercion), which the
+// differential tests check. The closures serve the row-at-a-time
+// callers: DELETE/UPDATE predicates, a join level's residual predicate,
+// and the distributed engines (CompileExprOver, CompilePredicates,
+// CompileJoinKey). SELECT scans and projections run the batch programs
+// in batchcompile.go instead.
 
 // compiledExpr evaluates an expression against a joined row.
 type compiledExpr func(row sqlval.Row) (sqlval.Value, error)
@@ -34,22 +36,6 @@ func compileExpr(f *frame, e Expr) (compiledExpr, error) {
 	}
 	exprCompiles.Inc()
 	return fn, nil
-}
-
-// compileExprs compiles a list of expressions over one frame.
-func compileExprs(f *frame, exprs []Expr) ([]compiledExpr, error) {
-	if len(exprs) == 0 {
-		return nil, nil
-	}
-	out := make([]compiledExpr, len(exprs))
-	for i, e := range exprs {
-		fn, err := compileExpr(f, e)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = fn
-	}
-	return out, nil
 }
 
 // compilePred compiles a top-level predicate over f.
@@ -449,8 +435,8 @@ func comparatorFor(op string) func(a, b sqlval.Value) bool {
 }
 
 // compileHash builds an FNV join-key hasher over compiled key
-// evaluators; rows with equal keys hash equally (same scheme as
-// hashKey).
+// evaluators; rows with equal keys hash equally (same fold as
+// HashKeyOffsets).
 func compileHash(keys []compiledExpr) func(row sqlval.Row) (uint64, error) {
 	return func(row sqlval.Row) (uint64, error) {
 		var h uint64 = 1469598103934665603

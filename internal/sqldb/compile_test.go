@@ -9,12 +9,12 @@ import (
 	"bestpeer/internal/sqlval"
 )
 
-// The differential tests pit the closure compiler against the retained
-// tree-walking interpreter: both must produce the same value (or the
-// same error) for every expression over every row, and whole statements
-// must return identical rows and identical Stats with compilation on
-// and off. The interpreter is the oracle — it predates the compiler and
-// is exercised by the rest of the suite.
+// The differential tests hold production against the reference
+// executor in oracle_test.go (the tree-walking interpreter): whole
+// statements through DB.Query must return the oracle's rows, in order,
+// and its Stats record (the cost model's inputs); ProjectRows must
+// return the oracle's projection; and the closure compiler the engines
+// and DML use must agree with evalExpr on every value, truth and error.
 
 type fuzzCol struct {
 	alias string
@@ -202,11 +202,18 @@ func sameError(a, b error) bool {
 	return a == nil || a.Error() == b.Error()
 }
 
-// TestDifferentialCompiledVsInterpreter fuzzes random expressions over
-// random rows: the compiled closure and the tree-walking interpreter
-// must agree on every value, every truth, and every error.
-func TestDifferentialCompiledVsInterpreter(t *testing.T) {
+// TestDifferentialOracleVsProjectRows fuzzes random expressions over
+// random rows. Each expression is evaluated three ways that must agree:
+// the interpreter (evalExpr/evalPred), the closures CompileExprOver and
+// CompilePredicates hand the engines, and — as the select list, ORDER BY
+// key and GROUP BY key of generated statements — ProjectRows against
+// the oracle's project.
+func TestDifferentialOracleVsProjectRows(t *testing.T) {
 	f, cols := fuzzFrame()
+	var bindings []Binding
+	for _, b := range f.bindings {
+		bindings = append(bindings, Binding{Alias: b.alias, Schema: b.schema})
+	}
 	rng := rand.New(rand.NewSource(20260805))
 	g := &exprGen{rng: rng, cols: cols}
 	for trial := 0; trial < 400; trial++ {
@@ -216,16 +223,12 @@ func TestDifferentialCompiledVsInterpreter(t *testing.T) {
 		} else {
 			e = g.numeric(3)
 		}
-		ce, err := compileExpr(f, e)
-		if err != nil {
-			t.Fatalf("trial %d: compile %s: %v", trial, e, err)
-		}
-		cp, err := compilePred(f, e)
-		if err != nil {
-			t.Fatalf("trial %d: compile pred %s: %v", trial, e, err)
-		}
-		for r := 0; r < 16; r++ {
+		ce := CompileExprOver(bindings, e)
+		cp := CompilePredicates(bindings, []Expr{e})
+		rows := make([]sqlval.Row, 16)
+		for r := range rows {
 			row := g.row()
+			rows[r] = row
 			wantV, wantErr := evalExpr(f, e, row)
 			gotV, gotErr := ce(row)
 			if !sameError(wantErr, gotErr) {
@@ -240,6 +243,32 @@ func TestDifferentialCompiledVsInterpreter(t *testing.T) {
 			if !sameError(wantErr, gotErr) || wantB != gotB {
 				t.Fatalf("trial %d: pred %s over %v: interp (%v,%v), compiled (%v,%v)",
 					trial, e, row, wantB, wantErr, gotB, gotErr)
+			}
+		}
+		order := []OrderItem{{Expr: e, Desc: trial%3 == 0}}
+		stmts := []*SelectStmt{
+			{Items: []SelectItem{{Expr: e, Alias: "v"}, {Expr: &ColumnRef{Table: "a", Column: "ai"}}},
+				OrderBy: order, Distinct: trial%5 == 0, Limit: -1},
+			{Items: []SelectItem{
+				{Expr: e},
+				{Expr: &FuncCall{Name: "COUNT", Star: true}},
+				{Expr: &FuncCall{Name: "SUM", Args: []Expr{e}}},
+				{Expr: &FuncCall{Name: "AVG", Args: []Expr{&ColumnRef{Column: "af"}}}},
+				{Expr: &FuncCall{Name: "MIN", Args: []Expr{&ColumnRef{Column: "bd"}}}},
+				{Expr: &FuncCall{Name: "MAX", Args: []Expr{&ColumnRef{Column: "bs"}}}},
+			}, GroupBy: []Expr{e}, OrderBy: order, Limit: -1},
+		}
+		for _, stmt := range stmts {
+			want, wantErr := project(f, f, stmt, rows)
+			got, gotErr := ProjectRows(stmt, bindings, rows)
+			if !sameError(wantErr, gotErr) {
+				t.Fatalf("trial %d: %s: oracle err %v, ProjectRows err %v", trial, stmt, wantErr, gotErr)
+			}
+			if wantErr != nil {
+				continue
+			}
+			if strings.Join(want.Columns, ",") != strings.Join(got.Columns, ",") || rowsKey(want) != rowsKey(got) || want.Stats != got.Stats {
+				t.Fatalf("trial %d: %s over %v differs\noracle:\n%sProjectRows:\n%s", trial, stmt, rows, rowsKey(want), rowsKey(got))
 			}
 		}
 	}
@@ -300,50 +329,76 @@ func rowsKey(res *Result) string {
 	return sb.String()
 }
 
-// TestStatementsCompiledMatchesInterpreted executes random statements
-// with the compiled layer on and off against identical databases: rows,
-// order, and the Stats record (the cost model's inputs) must be
-// bit-identical.
-func TestStatementsCompiledMatchesInterpreted(t *testing.T) {
-	if !CompileEnabled() {
-		t.Skip("compiled layer disabled")
+// queryMatchesOracle runs sql through DB.Query and the reference
+// executor: errors, rows (in order) and Stats must be identical. It
+// returns Query's result.
+func queryMatchesOracle(t *testing.T, db *DB, sql string) *Result {
+	t.Helper()
+	want, wantErr := oracleQuery(db, sql)
+	got, gotErr := db.Query(sql)
+	if !sameError(wantErr, gotErr) {
+		t.Fatalf("%q: oracle err %v, Query err %v", sql, wantErr, gotErr)
 	}
-	interp := testDB(t)
-	compiled := testDB(t)
-	rng := rand.New(rand.NewSource(20260806))
-	for trial := 0; trial < 120; trial++ {
-		sql := randomStatement(rng)
-		SetCompileEnabled(false)
-		want, wantErr := interp.Query(sql)
-		SetCompileEnabled(true)
-		got, gotErr := compiled.Query(sql)
-		if !sameError(wantErr, gotErr) {
-			t.Fatalf("trial %d: %q: interp err %v, compiled err %v", trial, sql, wantErr, gotErr)
-		}
-		if wantErr != nil {
-			continue
-		}
-		if rowsKey(want) != rowsKey(got) {
-			t.Fatalf("trial %d: %q rows differ\ninterp:\n%scompiled:\n%s", trial, sql, rowsKey(want), rowsKey(got))
-		}
-		if want.Stats != got.Stats {
-			t.Fatalf("trial %d: %q stats differ: interp %+v, compiled %+v", trial, sql, want.Stats, got.Stats)
-		}
+	if wantErr != nil {
+		return nil
 	}
+	if strings.Join(want.Columns, ",") != strings.Join(got.Columns, ",") {
+		t.Fatalf("%q columns differ: oracle %v, Query %v", sql, want.Columns, got.Columns)
+	}
+	if rowsKey(want) != rowsKey(got) {
+		t.Fatalf("%q rows differ\noracle:\n%sQuery:\n%s", sql, rowsKey(want), rowsKey(got))
+	}
+	if want.Stats != got.Stats {
+		t.Fatalf("%q stats differ: oracle %+v, Query %+v", sql, want.Stats, got.Stats)
+	}
+	return got
 }
 
-// TestCompileFallbackPreservesLazyErrors checks the edge the compiler
-// rejects up front but the interpreter only trips per row: projecting
-// an unknown column over an empty table returns an empty result, not an
-// error, with the compiled layer on.
-func TestCompileFallbackPreservesLazyErrors(t *testing.T) {
+// TestDifferentialOracleVsQuery executes random statements through
+// DB.Query and the reference executor: the small TPC-H-shaped tables
+// (joins, grouping, ordering, distinct, limits) and the 1500-row fact
+// table whose batches straddle the 1024-row boundary with NULLs in
+// every column kind.
+func TestDifferentialOracleVsQuery(t *testing.T) {
+	t.Run("tpch", func(t *testing.T) {
+		db := testDB(t)
+		rng := rand.New(rand.NewSource(20260806))
+		for trial := 0; trial < 120; trial++ {
+			queryMatchesOracle(t, db, randomStatement(rng))
+		}
+	})
+	t.Run("vector", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(20260808))
+		db := batchFuzzDB(t, batchFuzzRows(rng, 1500))
+		for trial := 0; trial < 200; trial++ {
+			queryMatchesOracle(t, db, randomBatchStatement(rng))
+		}
+	})
+}
+
+// TestCompileErrorsAreReturned pins the single path's error contract:
+// names resolve at plan time, so a statement that does not compile
+// fails whether or not its tables hold rows (the interpreter only
+// tripped per row, so the same statements over empty tables used to
+// return zero rows), and EXPLAIN reports the same error.
+func TestCompileErrorsAreReturned(t *testing.T) {
 	db := NewDB()
 	mustExec(t, db, `CREATE TABLE empty_t (a INT)`)
-	res, err := db.Query(`SELECT nope FROM empty_t`)
-	if err != nil {
-		t.Fatalf("unknown column over zero rows must stay lazy: %v", err)
-	}
-	if len(res.Rows) != 0 {
-		t.Fatalf("rows = %d, want 0", len(res.Rows))
+	mustExec(t, db, `CREATE TABLE empty_u (a INT)`)
+	for sql, want := range map[string]string{
+		`SELECT nope FROM empty_t`:                            "unknown column nope",
+		`SELECT a FROM empty_t WHERE nope > 1`:                "unresolvable predicate",
+		`SELECT a FROM empty_t, empty_u`:                      "ambiguous column a",
+		`SELECT empty_t.a FROM empty_t WHERE frob(empty_t.a)`: "unknown function FROB",
+		`SELECT COUNT(*) FROM empty_t GROUP BY nope`:          "unknown column nope",
+		`SELECT a FROM empty_t ORDER BY nope`:                 "unknown column nope",
+		`SELECT a FROM missing_t`:                             "unknown table missing_t",
+	} {
+		if _, err := db.Query(sql); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Query(%q) err = %v, want %q", sql, err, want)
+		}
+		if _, err := db.ExplainSelect(sql); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ExplainSelect(%q) err = %v, want %q", sql, err, want)
+		}
 	}
 }

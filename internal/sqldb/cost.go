@@ -15,11 +15,11 @@ import (
 // planning decisions they drive — predicate selectivity, index-vs-full
 // scan choice, and multi-table join ordering.
 //
-// Every execution path (interpreter, row-compiled, batch-compiled)
-// consults this layer through the same entry points, so the three paths
-// always agree on access paths and join order. That is what lets the
-// differential fuzz oracle demand bit-identical Stats: the cost model
-// changes which plan runs, never what a given plan computes.
+// The executor and the tests' reference interpreter consult this layer
+// through the same entry points, so they always agree on access paths
+// and join order. That is what lets the differential tests demand
+// identical Stats: the cost model changes which plan runs, never what a
+// given plan computes.
 
 var (
 	statsBuilds = telemetry.Default.Counter("sqldb_stats_builds_total")
@@ -310,8 +310,9 @@ type scanChoice struct {
 // the conjuncts allow, then keep it only when statistics say it pays.
 // Equality probes always win; range probes are demoted to a full scan
 // above indexRangeThreshold; missing statistics preserve the historical
-// always-index behavior. Interpreter and compiled paths both route
-// through here, so their Stats (IndexUsed, RowsScanned) stay identical.
+// always-index behavior. The executor and the tests' reference
+// interpreter both route through here, so their Stats (IndexUsed,
+// RowsScanned) stay identical.
 func (db *DB) planScan(t *Table, alias string, conjuncts []Expr) scanChoice {
 	stats := db.ensureStats(t)
 	c := scanChoice{

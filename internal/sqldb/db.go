@@ -318,9 +318,6 @@ func (db *DB) Query(sql string) (*Result, error) {
 
 // cachedStmt returns the parse result cached under the SQL text, or nil.
 func (db *DB) cachedStmt(sql string) Statement {
-	if !CompileEnabled() {
-		return nil
-	}
 	if e := db.plans.lookup(sql); e != nil {
 		return e.stmt
 	}
@@ -385,13 +382,10 @@ func (db *DB) execStmt(stmt Statement, key string) (*Result, error) {
 	case *SelectStmt:
 		db.mu.RLock()
 		defer db.mu.RUnlock()
-		if CompileEnabled() {
-			if key == "" {
-				key = s.String()
-			}
-			return db.executeSelectCached(key, s)
+		if key == "" {
+			key = s.String()
 		}
-		return db.executeSelect(s)
+		return db.executeSelectCached(key, s)
 	case *CreateTableStmt:
 		if _, err := db.CreateTable(s.Schema); err != nil {
 			return nil, err
@@ -424,34 +418,29 @@ func (db *DB) execStmt(stmt Statement, key string) (*Result, error) {
 	}
 }
 
-// compileWhere compiles a DELETE/UPDATE predicate once per statement,
-// falling back to the interpreter closure when compilation is disabled
-// or fails; nil means no WHERE clause.
+// compileWhere compiles a DELETE/UPDATE predicate once per statement;
+// nil means no WHERE clause. A predicate that does not compile (unknown
+// column, unknown function) fails on the first row it is asked about.
 func compileWhere(f *frame, where Expr) func(sqlval.Row) (bool, error) {
 	if where == nil {
 		return nil
 	}
-	if CompileEnabled() {
-		if fn, err := compilePred(f, where); err == nil {
-			return fn
-		}
+	fn, err := compilePred(f, where)
+	if err != nil {
+		return func(sqlval.Row) (bool, error) { return false, err }
 	}
-	return func(row sqlval.Row) (bool, error) { return evalPred(f, where, row) }
+	return fn
 }
 
-// executeSelectCached runs s through the compiled executor, reusing the
-// cached plan when the schema version still matches. Callers hold
-// db.mu.RLock. A compile failure falls back to the interpreter so
-// row-at-a-time error semantics (and results on edge cases the compiler
-// rejects up front, like projecting an unknown column over zero rows)
-// stay identical to the pre-compiled executor.
+// executeSelectCached runs s through its compiled plan, reusing the
+// cached plan when the schema and statistics versions still match.
+// Callers hold db.mu.RLock. A statement that does not compile returns
+// its compile error.
 func (db *DB) executeSelectCached(key string, s *SelectStmt) (*Result, error) {
 	// Freshen statistics for the referenced tables first (a cheap
 	// staleness probe when nothing changed): if enough rows mutated
 	// since a cached plan was costed, the rebuild bumps statsVer and
-	// the version check below forces a re-plan, keeping the compiled
-	// path's cost decisions in lockstep with the always-fresh
-	// interpreter.
+	// the version check below forces a re-plan.
 	for _, ref := range s.From {
 		if t := db.table(ref.Table); t != nil {
 			db.ensureStats(t)
@@ -464,7 +453,7 @@ func (db *DB) executeSelectCached(key string, s *SelectStmt) (*Result, error) {
 	planCacheMisses.Inc()
 	plan, err := db.compileSelect(s)
 	if err != nil {
-		return db.executeSelect(s)
+		return nil, err
 	}
 	db.plans.store(&planEntry{key: key, stmt: s, plan: plan, ver: db.ver, sver: db.statsVer.Load(), tables: tablesOf(s)})
 	return plan.run()

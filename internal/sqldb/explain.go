@@ -6,11 +6,11 @@ import (
 )
 
 // EXPLAIN surface: ExplainSelect compiles a SELECT the same way the
-// executor would — cost-based join order, per-scan access-path choice,
-// batch compilation — and reports the choices together with estimated
-// vs actual cardinalities (the scans are executed to count actuals, so
-// this is EXPLAIN ANALYZE at scan granularity). bpsql's .plan dot
-// command and the peer.plan verb render it.
+// executor does — cost-based join order, per-scan access-path choice —
+// and reports the choices together with estimated vs actual
+// cardinalities (the scans are executed to count actuals, so this is
+// EXPLAIN ANALYZE at scan granularity). bpsql's .plan dot command and
+// the peer.plan verb render it.
 
 // ExplainScan describes one table access of a compiled plan, in
 // execution order.
@@ -26,18 +26,15 @@ type ExplainScan struct {
 // ExplainPlan is the explainable shape of one SELECT.
 type ExplainPlan struct {
 	SQL       string
-	Note      string // set when the compiled path is unavailable
-	Compiled  bool
-	Batch     bool // vectorized batch twin compiled alongside
 	JoinOrder []string
 	Scans     []ExplainScan
 }
 
 // ExplainSelect parses and compiles sql, reporting the plan the executor
-// would run: join order, access paths, estimated and actual per-scan
-// cardinalities, and whether the statement runs on the vectorized batch
-// path. The statement is not fully executed — only its scans are, to
-// obtain actual filtered cardinalities.
+// would run: join order, access paths, and estimated and actual per-scan
+// cardinalities. The statement is not fully executed — only its scans
+// are, to obtain actual filtered cardinalities. A statement that does
+// not compile returns its compile error.
 func (db *DB) ExplainSelect(sql string) (*ExplainPlan, error) {
 	stmt, err := Parse(sql)
 	if err != nil {
@@ -54,18 +51,11 @@ func (db *DB) ExplainSelect(sql string) (*ExplainPlan, error) {
 			db.ensureStats(t)
 		}
 	}
+	p, err := db.compileSelect(sel)
+	if err != nil {
+		return nil, err
+	}
 	ep := &ExplainPlan{SQL: sql}
-	if !CompileEnabled() {
-		ep.Note = "compiled layer disabled; interpreter executes in FROM order"
-		return ep, nil
-	}
-	p, cerr := db.compileSelect(sel)
-	if cerr != nil {
-		ep.Note = fmt.Sprintf("not compilable (%v); interpreter fallback", cerr)
-		return ep, nil
-	}
-	ep.Compiled = true
-	ep.Batch = p.batch != nil
 	for _, sp := range p.scans {
 		es := ExplainScan{
 			Table:      sp.table.Schema().Table,
@@ -75,7 +65,7 @@ func (db *DB) ExplainSelect(sql string) (*ExplainPlan, error) {
 			EstRows:    sp.choice.estRows,
 			ActualRows: -1,
 		}
-		if rows, ferr := sp.fetch(&Stats{}); ferr == nil {
+		if rows, ferr := sp.scanFiltered(&Stats{}); ferr == nil {
 			es.ActualRows = int64(len(rows))
 		}
 		ep.JoinOrder = append(ep.JoinOrder, sp.alias)
@@ -101,17 +91,6 @@ func (s *scanPlan) accessDesc() string {
 func (ep *ExplainPlan) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "plan: %s\n", ep.SQL)
-	if ep.Note != "" {
-		fmt.Fprintf(&b, "  %s\n", ep.Note)
-		return b.String()
-	}
-	mode := "row-compiled closures"
-	if ep.Batch && BatchEnabled() {
-		mode = fmt.Sprintf("vectorized batch (%d-row)", batchSize)
-	} else if ep.Batch {
-		mode = "row-compiled closures (batch compiled but disabled)"
-	}
-	fmt.Fprintf(&b, "  execution: %s\n", mode)
 	if len(ep.JoinOrder) > 1 {
 		fmt.Fprintf(&b, "  join order: %s\n", strings.Join(ep.JoinOrder, " -> "))
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"bestpeer/internal/sqlval"
 	"bestpeer/internal/telemetry"
@@ -12,53 +11,56 @@ import (
 
 // A selectPlan is a SELECT compiled once against the current schema:
 // access paths chosen, every column reference resolved to a row offset,
-// and all predicates/projections/join keys/ORDER BY keys turned into
-// closures. Plans are stateless at run time (per-run Stats and sinks),
-// so a cached plan can serve concurrent readers under db.mu.RLock.
+// and scan filters, join keys, projections and ORDER BY keys turned into
+// batch programs (batchcompile.go). It is the only way a SELECT runs.
+// Plans are stateless at run time (per-run Stats, sinks and pooled batch
+// contexts), so a cached plan can serve concurrent readers under
+// db.mu.RLock.
 //
 // Single-table statements — the shape of every subquery the engines
-// ship to data owners — run as a fused scan→filter→project stream with
-// no intermediate []sqlval.Row; joins materialize per-table row sets
-// preallocated from index-cardinality estimates.
+// ship to data owners — stream scan batches straight into the
+// projection sink; joins materialize per-table filtered row sets
+// preallocated from the costed cardinality estimates.
 type selectPlan struct {
-	stmt  *SelectStmt
-	order []int // scans[i] reads stmt.From[order[i]] (cost-chosen join order)
-	scans []*scanPlan
+	scans []*scanPlan // in cost-chosen join order
 	joins []*joinPlan // joins[i] adds scans[i+1] onto the accumulated rows
 	proj  *projPlan
-	batch *batchPlan // vectorized twin; nil when any piece is not batch-compilable
 }
 
 var planCompiles = telemetry.Default.Counter("sqldb_plans_compiled_total")
 
 // scanPlan fetches one table's rows: the costed access-path choice plus
-// the table's fused residual filter. Statistics charging is identical to
-// fetchRows; the choice's estimate is compared with the actual row count
-// on every run to feed the cost-model misprediction histogram.
+// the table's fused filter program. The choice's estimate is compared
+// with the actual row count on every run to feed the cost-model
+// misprediction histogram.
 type scanPlan struct {
 	table  *Table
 	alias  string
 	choice scanChoice
-	filter compiledPred // nil = no per-table conjuncts
 	// acc is the table's bounded access-counter handle, resolved once at
-	// compile time and charged on every execution (row and batch paths).
-	acc *TableAccess
+	// compile time and charged on every execution.
+	acc        *TableAccess
+	filter     bpred // nil = no per-table conjuncts
+	filterOffs []int // columns the filter needs loaded
+	ctxs       bctxPool
 }
 
-// joinPlan hash-joins the accumulated left rows with one table's rows.
+// joinPlan joins the accumulated left rows with one table's rows: a hash
+// join on the paired key programs, or a cross product when the level has
+// no equi-keys. The residual predicate (cross conditions resolvable at
+// this level) runs over the joined rows either way.
 type joinPlan struct {
-	width    int
-	lkeys    []compiledExpr // over the accumulated (left) layout
-	rkeys    []compiledExpr // over the right table's layout
-	lhash    func(sqlval.Row) (uint64, error)
-	rhash    func(sqlval.Row) (uint64, error)
-	residual compiledPred // cross conditions resolvable at this level
+	width        int
+	lkeys, rkeys []bval // over the accumulated layout / the right scan's layout
+	loffs, roffs []int
+	lctxs        bctxPool
+	residual     compiledPred
 }
 
-// compileSelect builds a selectPlan for stmt. Callers hold db.mu (read
-// or write). Compile-time failures (unknown columns, unknown functions,
-// unresolvable predicates) are reported up front; the caller falls back
-// to the interpreter to keep row-at-a-time error semantics identical.
+// compileSelect builds the plan for stmt. Callers hold db.mu (read or
+// write). Every name resolves here: an unknown table, unknown or
+// ambiguous column, unknown function or unplaceable predicate is this
+// function's error, whether or not the tables hold rows.
 func (db *DB) compileSelect(stmt *SelectStmt) (*selectPlan, error) {
 	if len(stmt.From) == 0 {
 		return nil, fmt.Errorf("sqldb: SELECT without FROM")
@@ -83,40 +85,30 @@ func (db *DB) compileSelect(stmt *SelectStmt) (*selectPlan, error) {
 		starF.push(ref.Alias, schemas[i])
 	}
 
-	p := &selectPlan{stmt: stmt, order: order}
-	batchOK := true
-	var bscans []*bscan
+	p := &selectPlan{}
 	for _, ti := range order {
 		ref := stmt.From[ti]
 		f := &frame{}
 		f.push(ref.Alias, schemas[ti])
-		filter, err := compileFilter(f, perTable[ti])
+		c := newBcomp(f)
+		filter, err := c.compileFilter(perTable[ti])
 		if err != nil {
 			return nil, err
 		}
 		p.scans = append(p.scans, &scanPlan{
-			table:  tables[ti],
-			alias:  ref.Alias,
-			choice: db.planScan(tables[ti], ref.Alias, perTable[ti]),
-			filter: filter,
-			acc:    db.access.handle(tables[ti].Schema().Table),
+			table:      tables[ti],
+			alias:      ref.Alias,
+			choice:     db.planScan(tables[ti], ref.Alias, perTable[ti]),
+			acc:        db.access.handle(tables[ti].Schema().Table),
+			filter:     filter,
+			filterOffs: c.offsets(),
+			ctxs:       bctxPool{f: f, kinds: c.kinds},
 		})
-		if batchOK {
-			var ns, nps int
-			bc := newBcomp(f, &ns, &nps)
-			bf, berr := bc.compileFilter(perTable[ti])
-			if berr != nil {
-				batchOK = false
-			} else {
-				bscans = append(bscans, &bscan{kinds: bc.kinds, filter: bf, filterOffs: bc.offsets()})
-			}
-		}
 	}
 
 	cur := &frame{}
 	cur.push(stmt.From[order[0]].Alias, schemas[order[0]])
 	pending := cross
-	var bjoins []*bjoin
 	for k := 1; k < len(order); k++ {
 		ti := order[k]
 		rf := &frame{}
@@ -136,31 +128,20 @@ func (db *DB) compileSelect(stmt *SelectStmt) (*selectPlan, error) {
 				still = append(still, c)
 			}
 		}
-		jp := &joinPlan{width: next.width}
+		lc, rc := newBcomp(cur), newBcomp(rf)
+		jp := &joinPlan{width: next.width, lctxs: bctxPool{f: cur, kinds: lc.kinds}}
 		var err error
-		if jp.lkeys, err = compileExprs(cur, lkeys); err != nil {
+		if jp.lkeys, err = lc.compileValues(lkeys); err != nil {
 			return nil, err
 		}
-		if jp.rkeys, err = compileExprs(rf, rkeys); err != nil {
+		if jp.rkeys, err = rc.compileValues(rkeys); err != nil {
 			return nil, err
 		}
-		jp.lhash = compileHash(jp.lkeys)
-		jp.rhash = compileHash(jp.rkeys)
+		jp.loffs, jp.roffs = lc.offsets(), rc.offsets()
 		if jp.residual, err = compileFilter(next, applicable); err != nil {
 			return nil, err
 		}
 		p.joins = append(p.joins, jp)
-		if batchOK {
-			bj := compileBatchJoin(cur, rf, lkeys, rkeys)
-			// A nil bjoin with keys present means a key failed to batch-
-			// compile; without keys it's a cross join and the row joinPlan
-			// runs that level while the rest of the plan stays batched.
-			if bj == nil && len(lkeys) > 0 {
-				batchOK = false
-			} else {
-				bjoins = append(bjoins, bj)
-			}
-		}
 		cur = next
 		pending = still
 	}
@@ -173,163 +154,33 @@ func (db *DB) compileSelect(stmt *SelectStmt) (*selectPlan, error) {
 		return nil, err
 	}
 	p.proj = proj
-	if batchOK && proj.bp != nil {
-		p.batch = &batchPlan{p: p, scans: bscans, joins: bjoins}
-		batchPlanCompiles.Inc()
-	} else {
-		batchFallbacks.Inc()
-	}
 	planCompiles.Inc()
 	return p, nil
 }
 
-// compileBatchJoin builds the batch key programs for one join level, or
-// nil when the level has no equi-keys (cross join) or a key expression
-// is not batch-compilable.
-func compileBatchJoin(cur, rf *frame, lkeys, rkeys []Expr) *bjoin {
-	if len(lkeys) == 0 {
-		return nil
-	}
-	var lns, lnps, rns, rnps int
-	lc := newBcomp(cur, &lns, &lnps)
-	rc := newBcomp(rf, &rns, &rnps)
-	bj := &bjoin{}
-	for _, e := range lkeys {
-		bv, err := lc.compileValue(e)
-		if err != nil {
-			return nil
-		}
-		bj.lkeys = append(bj.lkeys, bv)
-	}
-	for _, e := range rkeys {
-		bv, err := rc.compileValue(e)
-		if err != nil {
-			return nil
-		}
-		bj.rkeys = append(bj.rkeys, bv)
-	}
-	bj.loffs, bj.roffs = lc.offsets(), rc.offsets()
-	bj.lkinds = lc.kinds
-	return bj
-}
-
 // run executes the plan. Callers hold db.mu.RLock.
 func (p *selectPlan) run() (*Result, error) {
-	if p.batch != nil && BatchEnabled() {
-		res, ok, err := p.batch.run()
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return res, nil
-		}
-		// Runtime column-kind mismatch: rerun this statement in row mode.
-		batchFallbacks.Inc()
-	}
+	sink := p.proj.newSink(0)
 	var stats Stats
+	var err error
 	if len(p.scans) == 1 {
-		// Streaming pipeline: scan rows flow straight into the
-		// projection/aggregation sink.
-		sink := p.proj.newSink(0)
-		var actual int64
-		if err := p.scans[0].stream(&stats, func(row sqlval.Row) error {
-			actual++
-			return sink.add(row)
-		}); err != nil {
-			return nil, err
-		}
-		p.scans[0].choice.observeEstimate(actual)
-		res, err := sink.finish()
-		if err != nil {
-			return nil, err
-		}
-		finishStats(res, stats)
-		return res, nil
+		err = p.runSingle(sink, &stats)
+	} else {
+		err = p.runMulti(sink, &stats)
 	}
-
-	rows, err := p.scans[0].fetch(&stats)
 	if err != nil {
 		return nil, err
 	}
-	p.scans[0].choice.observeEstimate(int64(len(rows)))
-	for i, jp := range p.joins {
-		rrows, err := p.scans[i+1].fetch(&stats)
-		if err != nil {
-			return nil, err
-		}
-		p.scans[i+1].choice.observeEstimate(int64(len(rrows)))
-		rows, err = jp.join(rows, rrows)
-		if err != nil {
-			return nil, err
-		}
-	}
-	res, err := p.proj.runRows(rows)
+	res, err := sink.finish()
 	if err != nil {
 		return nil, err
 	}
-	finishStats(res, stats)
-	return res, nil
-}
-
-func finishStats(res *Result, stats Stats) {
 	res.Stats = stats
 	res.Stats.RowsReturned = int64(len(res.Rows))
 	for _, r := range res.Rows {
 		res.Stats.BytesReturned += int64(r.EncodedSize())
 	}
-}
-
-// stream visits the table's rows through the access path and filter,
-// charging scan statistics exactly like fetchRows, without materializing
-// an intermediate slice.
-func (s *scanPlan) stream(stats *Stats, yield func(sqlval.Row) error) error {
-	t := s.table
-	s.acc.record(s.choice.path.index != nil)
-	if s.choice.path.index != nil {
-		stats.IndexUsed = true
-		for _, id := range s.ids() {
-			row := t.Row(id)
-			if row == nil {
-				continue
-			}
-			stats.RowsScanned++
-			stats.BytesScanned += int64(t.RowSize(id))
-			if s.filter != nil {
-				ok, err := s.filter(row)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					continue
-				}
-			}
-			if err := yield(row); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var ferr error
-	t.Scan(func(id int, row sqlval.Row) bool {
-		stats.RowsScanned++
-		stats.BytesScanned += int64(t.RowSize(id))
-		if s.filter != nil {
-			ok, err := s.filter(row)
-			if err != nil {
-				ferr = err
-				return false
-			}
-			if !ok {
-				return true
-			}
-		}
-		if err := yield(row); err != nil {
-			ferr = err
-			return false
-		}
-		return true
-	})
-	return ferr
+	return res, nil
 }
 
 // ids evaluates the index probe, returning candidate row IDs.
@@ -341,147 +192,56 @@ func (s *scanPlan) ids() []int {
 	return path.index.Range(path.lo, path.hi, path.loInc, path.hiInc)
 }
 
-// fetch materializes the table's filtered rows, preallocating from the
-// costed cardinality estimate.
-func (s *scanPlan) fetch(stats *Stats) ([]sqlval.Row, error) {
-	if s.choice.path.index != nil {
-		s.acc.record(true)
-		stats.IndexUsed = true
-		ids := s.ids()
-		out := make([]sqlval.Row, 0, len(ids))
-		for _, id := range ids {
-			row := s.table.Row(id)
-			if row == nil {
-				continue
-			}
-			stats.RowsScanned++
-			stats.BytesScanned += int64(s.table.RowSize(id))
-			if s.filter != nil {
-				ok, err := s.filter(row)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			out = append(out, row)
-		}
-		return out, nil
-	}
-	out := make([]sqlval.Row, 0, int(s.choice.estRows)+8)
-	err := s.stream(stats, func(row sqlval.Row) error {
-		out = append(out, row)
-		return nil
-	})
-	return out, err
-}
-
-// join hash-joins (or cross-joins) left rows with right rows and applies
-// the level's residual predicate in place.
-func (j *joinPlan) join(lrows, rrows []sqlval.Row) ([]sqlval.Row, error) {
-	var joined []sqlval.Row
-	if len(j.lkeys) > 0 {
-		build := make(map[uint64][]sqlval.Row, len(rrows))
-		for _, rr := range rrows {
-			h, err := j.rhash(rr)
-			if err != nil {
-				return nil, err
-			}
-			build[h] = append(build[h], rr)
-		}
-		joined = make([]sqlval.Row, 0, len(lrows))
-		for _, lr := range lrows {
-			h, err := j.lhash(lr)
-			if err != nil {
-				return nil, err
-			}
-			for _, rr := range build[h] {
-				eq := true
-				for i := range j.lkeys {
-					lv, err := j.lkeys[i](lr)
-					if err != nil {
-						return nil, err
-					}
-					rv, err := j.rkeys[i](rr)
-					if err != nil {
-						return nil, err
-					}
-					if lv.IsNull() || rv.IsNull() || !sqlval.Equal(lv, rv) {
-						eq = false
-						break
-					}
-				}
-				if !eq {
-					continue
-				}
-				nr := make(sqlval.Row, 0, j.width)
-				nr = append(nr, lr...)
-				nr = append(nr, rr...)
-				joined = append(joined, nr)
-			}
-		}
-	} else {
-		joined = make([]sqlval.Row, 0, len(lrows)*len(rrows))
-		for _, lr := range lrows {
-			for _, rr := range rrows {
-				nr := make(sqlval.Row, 0, j.width)
-				nr = append(nr, lr...)
-				nr = append(nr, rr...)
-				joined = append(joined, nr)
-			}
-		}
-	}
-	if j.residual != nil {
-		filtered := joined[:0]
-		for _, row := range joined {
-			ok, err := j.residual(row)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				filtered = append(filtered, row)
-			}
-		}
-		joined = filtered
-	}
-	return joined, nil
-}
-
 // projPlan is the compiled projection/aggregation tail of a SELECT:
-// output expressions, group keys, aggregate arguments, and ORDER BY key
-// sources (compiled expression or select-alias index, decided once).
-// Per-group HAVING and outputs still evaluate through evalWithAggs —
-// that code runs once per group, not once per row, and keeps the
-// MySQL-permissive sample-row semantics bit-identical.
+// output and ORDER BY programs for plain selects, group-key and
+// aggregate-argument programs for grouped ones. Per-group HAVING and
+// outputs evaluate through evalWithAggs — that code runs once per group,
+// not once per row, and keeps the MySQL-permissive sample-row semantics.
 type projPlan struct {
 	stmt    *SelectStmt
 	f       *frame
 	cols    []string
 	outAST  []Expr // expanded select-list expressions
 	grouped bool
+	coll    *aggCollector // grouped only
 
-	// Non-grouped path.
-	exprs []compiledExpr
-	order []orderSource
-
-	// Grouped path.
-	coll *aggCollector
-	keys []compiledExpr
-	args []compiledExpr // aggregate argument per collected call; nil = COUNT(*)
-
-	// Batch path (nil bp = row-at-a-time only).
-	bp      *batchProj
-	bpKinds []sqlval.Kind
-	bpPool  sync.Pool
+	offs  []int          // columns the programs below need loaded
+	outs  []bOut         // plain: output expressions
+	order []bOrderSource // plain: ORDER BY keys
+	keys  []bOut         // grouped: GROUP BY keys
+	args  []*bval        // grouped: aggregate argument per collected call; nil = COUNT(*)
+	ctxs  bctxPool
 }
 
-// orderSource produces one ORDER BY key for an output row: a compiled
-// expression, or (when the expression only resolves as a select alias)
-// the index of the output column to reuse.
-type orderSource struct {
-	eval  compiledExpr
+// bOut is one projection source: a bare column read straight off the
+// joined row (col >= 0), or a compiled vector program. Bare columns —
+// the dominant SELECT-list shape — skip the row-to-column transposition
+// a vector evaluation would need just to box the values back out.
+type bOut struct {
+	ev  *bval
+	col int
+}
+
+// bOrderSource produces one ORDER BY key for an output row: a bare
+// column, a compiled key expression, or (when the expression only
+// resolves as a select alias) the index of the output column to reuse.
+type bOrderSource struct {
+	bOut
 	alias int
+}
+
+// compileOut compiles one projection source over c's frame.
+func (c *bcomp) compileOut(e Expr) (bOut, error) {
+	if cr, ok := e.(*ColumnRef); ok {
+		if off, err := c.f.resolve(cr); err == nil {
+			return bOut{col: off}, nil
+		}
+	}
+	bv, err := c.compileValue(e)
+	if err != nil {
+		return bOut{}, err
+	}
+	return bOut{ev: &bv, col: -1}, nil
 }
 
 // newProjPlan compiles the projection tail over the execution frame f;
@@ -499,11 +259,17 @@ func newProjPlan(f, starF *frame, stmt *SelectStmt) (*projPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	pp := &projPlan{stmt: stmt, f: f, cols: cols, outAST: outAST, grouped: grouped}
+	c := newBcomp(f)
+	pp := &projPlan{stmt: stmt, f: f, cols: cols, outAST: outAST, grouped: grouped,
+		ctxs: bctxPool{f: f, kinds: c.kinds}}
 	if grouped {
 		pp.coll = collectAggregates(stmt)
-		if pp.keys, err = compileExprs(f, stmt.GroupBy); err != nil {
-			return nil, err
+		for _, e := range stmt.GroupBy {
+			key, err := c.compileOut(e)
+			if err != nil {
+				return nil, err
+			}
+			pp.keys = append(pp.keys, key)
 		}
 		for _, name := range pp.coll.order {
 			call := pp.coll.calls[name]
@@ -511,35 +277,36 @@ func newProjPlan(f, starF *frame, stmt *SelectStmt) (*projPlan, error) {
 				pp.args = append(pp.args, nil)
 				continue
 			}
-			fn, err := compileExpr(f, call.Args[0])
+			arg, err := c.compileValue(call.Args[0])
 			if err != nil {
 				return nil, err
 			}
-			pp.args = append(pp.args, fn)
+			pp.args = append(pp.args, &arg)
 		}
-		pp.bp = compileBatchProj(f, pp)
-		pp.bpKinds = frameKinds(f)
+		pp.offs = c.offsets()
 		return pp, nil
 	}
-	if pp.exprs, err = compileExprs(f, outAST); err != nil {
-		return nil, err
+	for _, e := range outAST {
+		out, err := c.compileOut(e)
+		if err != nil {
+			return nil, err
+		}
+		pp.outs = append(pp.outs, out)
 	}
 	for _, o := range stmt.OrderBy {
-		fn, err := compileExpr(f, o.Expr)
+		src, err := c.compileOut(o.Expr)
 		if err != nil {
-			// Allow ORDER BY on a select alias, resolved once here
-			// instead of per row.
+			// Allow ORDER BY on a select alias, resolved once here.
 			idx, ok := aliasIndex(o.Expr, cols)
 			if !ok {
 				return nil, err
 			}
-			pp.order = append(pp.order, orderSource{alias: idx})
+			pp.order = append(pp.order, bOrderSource{bOut: bOut{col: -1}, alias: idx})
 			continue
 		}
-		pp.order = append(pp.order, orderSource{eval: fn})
+		pp.order = append(pp.order, bOrderSource{bOut: src, alias: -1})
 	}
-	pp.bp = compileBatchProj(f, pp)
-	pp.bpKinds = frameKinds(f)
+	pp.offs = c.offsets()
 	return pp, nil
 }
 
@@ -566,7 +333,7 @@ type projSink struct {
 	groups  map[uint64][]*group
 	ordered []*group
 
-	// Batch-mode scratch, allocated on first addBatch.
+	// Per-batch scratch, allocated on first addBatch.
 	kvecs []*vec
 	gbuf  []*group
 	ovecs []*vec
@@ -596,186 +363,78 @@ func (pp *projPlan) newGroup(key, sample sqlval.Row) *group {
 	return g
 }
 
-// runRows feeds already-materialized rows through a fresh sink, batching
-// when the projection compiled for batch mode.
-func (pp *projPlan) runRows(rows []sqlval.Row) (*Result, error) {
-	if pp.bp != nil && BatchEnabled() {
-		sink := pp.newSink(len(rows))
-		ok := true
-		ctx := pp.getCtx()
-		for start := 0; start < len(rows); start += batchSize {
-			end := start + batchSize
-			if end > len(rows) {
-				end = len(rows)
-			}
-			ctx.rows = rows[start:end]
-			ctx.begin()
-			bok, err := sink.addBatch(ctx)
-			if err != nil {
-				pp.putCtx(ctx)
-				return nil, err
-			}
-			if !bok {
-				ok = false
-				break
-			}
-		}
-		pp.putCtx(ctx)
-		if ok {
-			return sink.finish()
-		}
-		batchFallbacks.Inc() // input layout mismatch: redo row-at-a-time
-	}
-	sink := pp.newSink(len(rows))
-	for _, row := range rows {
-		if err := sink.add(row); err != nil {
-			return nil, err
-		}
-	}
-	return sink.finish()
-}
-
-// add consumes one input row.
-func (s *projSink) add(row sqlval.Row) error {
-	pp := s.pp
-	if pp.grouped {
-		key := make(sqlval.Row, len(pp.keys))
-		var h uint64 = 14695981039346656037
-		for i, fn := range pp.keys {
-			v, err := fn(row)
-			if err != nil {
-				return err
-			}
-			key[i] = v
-			h = h*1099511628211 ^ v.Hash()
-		}
-		var g *group
-		for _, cand := range s.groups[h] {
-			same := true
-			for i := range key {
-				if !sqlval.Equal(cand.key[i], key[i]) {
-					same = false
-					break
-				}
-			}
-			if same {
-				g = cand
-				break
-			}
-		}
-		if g == nil {
-			g = pp.newGroup(key, row)
-			s.groups[h] = append(s.groups[h], g)
-			s.ordered = append(s.ordered, g)
-		}
-		for i, arg := range pp.args {
-			if arg == nil {
-				g.aggs[i].add(sqlval.Int(1))
-				continue
-			}
-			v, err := arg(row)
-			if err != nil {
-				return err
-			}
-			g.aggs[i].add(v)
-		}
-		return nil
-	}
-
-	out := make(sqlval.Row, len(pp.exprs))
-	for i, fn := range pp.exprs {
-		v, err := fn(row)
-		if err != nil {
+// addRows feeds already-materialized rows into sink in batch-sized
+// windows.
+func (pp *projPlan) addRows(sink *projSink, rows []sqlval.Row) error {
+	ctx := pp.ctxs.get()
+	defer pp.ctxs.put(ctx)
+	for start := 0; start < len(rows); start += batchSize {
+		ctx.begin(rows[start:min(start+batchSize, len(rows))])
+		if err := sink.addBatch(ctx); err != nil {
 			return err
 		}
-		out[i] = v
 	}
-	var keys sqlval.Row
-	if len(pp.order) > 0 {
-		keys = make(sqlval.Row, len(pp.order))
-		for i, src := range pp.order {
-			if src.eval != nil {
-				v, err := src.eval(row)
-				if err != nil {
-					return err
-				}
-				keys[i] = v
-			} else {
-				keys[i] = out[src.alias]
-			}
-		}
-	}
-	s.outs = append(s.outs, sortRow{out: out, keys: keys})
 	return nil
+}
+
+// runRows projects already-joined, already-filtered rows (ProjectRows).
+func (pp *projPlan) runRows(rows []sqlval.Row) (*Result, error) {
+	sink := pp.newSink(len(rows))
+	if err := pp.addRows(sink, rows); err != nil {
+		return nil, err
+	}
+	return sink.finish()
 }
 
 // finish sorts, deduplicates, limits, and emits the result.
 func (s *projSink) finish() (*Result, error) {
 	pp := s.pp
-	if !pp.grouped {
-		if len(pp.stmt.OrderBy) > 0 {
-			sort.SliceStable(s.outs, func(i, j int) bool {
-				return lessKeys(s.outs[i].keys, s.outs[j].keys, pp.stmt.OrderBy)
-			})
+	outs := s.outs
+	if pp.grouped {
+		ordered := s.ordered
+		// A global aggregate (no GROUP BY) over zero rows still yields one row.
+		if len(pp.stmt.GroupBy) == 0 && len(ordered) == 0 {
+			ordered = append(ordered, pp.newGroup(nil, nil))
 		}
-		res := &Result{Columns: pp.cols}
-		seen := newDistinctFilter(pp.stmt.Distinct)
-		for _, sr := range s.outs {
-			if !seen.admit(sr.out) {
-				continue
-			}
-			if pp.stmt.Limit >= 0 && len(res.Rows) >= pp.stmt.Limit {
-				break
-			}
-			res.Rows = append(res.Rows, sr.out)
-		}
-		return res, nil
-	}
-
-	ordered := s.ordered
-	// A global aggregate (no GROUP BY) over zero rows still yields one row.
-	if len(pp.stmt.GroupBy) == 0 && len(ordered) == 0 {
-		ordered = append(ordered, pp.newGroup(nil, nil))
-	}
-	res := &Result{Columns: pp.cols}
-	var outs []sortRow
-	for _, g := range ordered {
-		if pp.stmt.Having != nil {
-			v, err := evalWithAggs(pp.f, pp.stmt.Having, g, pp.coll)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() || !truthy(v) {
-				continue
-			}
-		}
-		out := make(sqlval.Row, len(pp.outAST))
-		for i, e := range pp.outAST {
-			v, err := evalWithAggs(pp.f, e, g, pp.coll)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		var keys sqlval.Row
-		for _, o := range pp.stmt.OrderBy {
-			v, err := evalWithAggs(pp.f, o.Expr, g, pp.coll)
-			if err != nil {
-				v2, err2 := orderByAlias(o.Expr, pp.cols, out)
-				if err2 != nil {
+		for _, g := range ordered {
+			if pp.stmt.Having != nil {
+				v, err := evalWithAggs(pp.f, pp.stmt.Having, g, pp.coll)
+				if err != nil {
 					return nil, err
 				}
-				v = v2
+				if v.IsNull() || !truthy(v) {
+					continue
+				}
 			}
-			keys = append(keys, v)
+			out := make(sqlval.Row, len(pp.outAST))
+			for i, e := range pp.outAST {
+				v, err := evalWithAggs(pp.f, e, g, pp.coll)
+				if err != nil {
+					return nil, err
+				}
+				out[i] = v
+			}
+			var keys sqlval.Row
+			for _, o := range pp.stmt.OrderBy {
+				v, err := evalWithAggs(pp.f, o.Expr, g, pp.coll)
+				if err != nil {
+					v2, err2 := orderByAlias(o.Expr, pp.cols, out)
+					if err2 != nil {
+						return nil, err
+					}
+					v = v2
+				}
+				keys = append(keys, v)
+			}
+			outs = append(outs, sortRow{out: out, keys: keys})
 		}
-		outs = append(outs, sortRow{out: out, keys: keys})
 	}
 	if len(pp.stmt.OrderBy) > 0 {
 		sort.SliceStable(outs, func(i, j int) bool {
 			return lessKeys(outs[i].keys, outs[j].keys, pp.stmt.OrderBy)
 		})
 	}
+	res := &Result{Columns: pp.cols}
 	seen := newDistinctFilter(pp.stmt.Distinct)
 	for _, sr := range outs {
 		if !seen.admit(sr.out) {

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"bestpeer/internal/telemetry"
 )
@@ -89,34 +88,6 @@ var (
 	planCacheInvalFull   = telemetry.Default.Counter("sqldb_plan_cache_invalidation_events_total", telemetry.L("scope", "full"))
 	planCacheInvalScoped = telemetry.Default.Counter("sqldb_plan_cache_invalidation_events_total", telemetry.L("scope", "scoped"))
 )
-
-// compileOff disables the compiled executor and plan cache when set,
-// restoring the retained tree-walking interpreter everywhere. The
-// differential fuzz tests and make bench-exec flip it to compare paths.
-var compileOff atomic.Bool
-
-// SetCompileEnabled toggles the compiled execution layer (on by
-// default). With it off, statements parse and tree-walk per call
-// exactly as before the compiled path existed.
-func SetCompileEnabled(on bool) { compileOff.Store(!on) }
-
-// CompileEnabled reports whether the compiled execution layer is active.
-func CompileEnabled() bool { return !compileOff.Load() }
-
-// batchOff disables the vectorized batch executor when set, keeping the
-// row-at-a-time compiled closures (and, with compilation also off, the
-// interpreter). The three-way differential fuzz test and make
-// bench-batch flip it to compare paths.
-var batchOff atomic.Bool
-
-// SetBatchEnabled toggles batch-at-a-time execution (on by default).
-// Batch mode only engages when the compiled layer is also enabled;
-// statements the batch compiler cannot handle fall back to row-mode
-// closures automatically, per statement.
-func SetBatchEnabled(on bool) { batchOff.Store(!on) }
-
-// BatchEnabled reports whether the vectorized batch executor is active.
-func BatchEnabled() bool { return !batchOff.Load() }
 
 const defaultPlanCacheCap = 256
 

@@ -10,9 +10,6 @@ import (
 // the second execution of the same SQL text hits the cache and skips
 // parse and compile.
 func TestPlanCacheHitsAndCounters(t *testing.T) {
-	if !CompileEnabled() {
-		t.Skip("compiled layer disabled")
-	}
 	db := testDB(t)
 	sql := `SELECT o_orderkey FROM orders WHERE o_totalprice > 500`
 	hits0, misses0 := planCacheHits.Value(), planCacheMisses.Value()
@@ -33,9 +30,6 @@ func TestPlanCacheHitsAndCounters(t *testing.T) {
 // test: a plan compiled with a full scan must be recompiled — not
 // replayed — after CREATE INDEX changes the access-path choice.
 func TestPlanCacheInvalidatedByCreateIndex(t *testing.T) {
-	if !CompileEnabled() {
-		t.Skip("compiled layer disabled")
-	}
 	db := testDB(t)
 	sql := `SELECT o_custkey FROM orders WHERE o_custkey = 3`
 	before := mustExec(t, db, sql)
@@ -60,9 +54,6 @@ func TestPlanCacheInvalidatedByCreateIndex(t *testing.T) {
 // TestPlanCacheInvalidatedByTableDDL re-creates a table with a wider
 // schema under the same name: the cached star-select must notice.
 func TestPlanCacheInvalidatedByTableDDL(t *testing.T) {
-	if !CompileEnabled() {
-		t.Skip("compiled layer disabled")
-	}
 	db := NewDB()
 	mustExec(t, db, `CREATE TABLE t (a INT)`)
 	mustExec(t, db, `INSERT INTO t VALUES (1)`)
@@ -88,9 +79,6 @@ func TestPlanCacheInvalidatedByTableDDL(t *testing.T) {
 // cached plans referencing it — survivors keep hitting — and the event
 // counters must distinguish scoped from full invalidations.
 func TestPlanCacheScopedInvalidation(t *testing.T) {
-	if !CompileEnabled() {
-		t.Skip("compiled layer disabled")
-	}
 	db := testDB(t)
 	mustExec(t, db, `CREATE TABLE scratch (x INT)`)
 	mustExec(t, db, `INSERT INTO scratch VALUES (1)`)
@@ -205,9 +193,6 @@ func TestPlanCacheEviction(t *testing.T) {
 // readers while DDL churn invalidates it; run under -race this is the
 // lock-order and data-race check for the compiled hot path.
 func TestPlanCacheConcurrentWithDDL(t *testing.T) {
-	if !CompileEnabled() {
-		t.Skip("compiled layer disabled")
-	}
 	db := testDB(t)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {

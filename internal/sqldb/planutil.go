@@ -27,18 +27,6 @@ func frameOf(bindings []Binding) *frame {
 	return f
 }
 
-// EvalExprOver evaluates a non-aggregate expression against a joined row
-// laid out by bindings.
-func EvalExprOver(bindings []Binding, e Expr, row sqlval.Row) (sqlval.Value, error) {
-	return evalExpr(frameOf(bindings), e, row)
-}
-
-// EvalPredicate evaluates e as a predicate over a joined row (SQL
-// unknown is false).
-func EvalPredicate(bindings []Binding, e Expr, row sqlval.Row) (bool, error) {
-	return evalPred(frameOf(bindings), e, row)
-}
-
 // Resolvable reports whether every column of e resolves in the bindings.
 func Resolvable(bindings []Binding, e Expr) bool {
 	return frameOf(bindings).resolvable(e)
@@ -47,18 +35,16 @@ func Resolvable(bindings []Binding, e Expr) bool {
 // ProjectRows applies the SELECT list, grouping/aggregation, HAVING,
 // ORDER BY, and LIMIT of stmt to already-joined, already-filtered rows.
 // The engines call it at the query submitting peer after assembling the
-// distributed intermediate result. When the compiled layer is enabled
-// the projection compiles once and loops over rows with resolved
-// offsets; otherwise (or when compilation fails) it tree-walks per row
-// as before.
+// distributed intermediate result; it runs the same projection programs
+// as a local SELECT's tail. A row whose value contradicts the kind its
+// binding's schema declares is an error.
 func ProjectRows(stmt *SelectStmt, bindings []Binding, rows []sqlval.Row) (*Result, error) {
 	f := frameOf(bindings)
-	if CompileEnabled() {
-		if pp, err := newProjPlan(f, f, stmt); err == nil {
-			return pp.runRows(rows)
-		}
+	pp, err := newProjPlan(f, f, stmt)
+	if err != nil {
+		return nil, err
 	}
-	return project(f, f, stmt, rows)
+	return pp.runRows(rows)
 }
 
 // CompiledExpr is a closure-compiled expression over a joined row
@@ -70,65 +56,43 @@ type CompiledExpr func(row sqlval.Row) (sqlval.Value, error)
 type CompiledPred func(row sqlval.Row) (bool, error)
 
 // CompileExprOver compiles e for repeated evaluation over rows laid out
-// by bindings. It never fails: when the compiled layer is disabled or
-// the expression does not compile (unknown column, aggregate outside
-// context), the returned closure tree-walks via the interpreter and
-// reproduces its per-row errors exactly.
+// by bindings. An expression that does not compile (unknown column,
+// aggregate outside context) yields a closure returning that compile
+// error on every row.
 func CompileExprOver(bindings []Binding, e Expr) CompiledExpr {
-	f := frameOf(bindings)
-	if CompileEnabled() {
-		if fn, err := compileExpr(f, e); err == nil {
-			return CompiledExpr(fn)
-		}
+	fn, err := compileExpr(frameOf(bindings), e)
+	if err != nil {
+		return func(sqlval.Row) (sqlval.Value, error) { return sqlval.Null(), err }
 	}
-	return func(row sqlval.Row) (sqlval.Value, error) { return evalExpr(f, e, row) }
+	return CompiledExpr(fn)
 }
 
 // CompilePredicates fuses conds into one compiled conjunction over the
 // bindings' row layout; rows failing any conjunct are rejected. Like
-// CompileExprOver it never fails, falling back to the interpreter.
+// CompileExprOver, a compile error surfaces from the returned closure.
 func CompilePredicates(bindings []Binding, conds []Expr) CompiledPred {
-	f := frameOf(bindings)
-	if CompileEnabled() {
-		if fn, err := compileFilter(f, conds); err == nil {
-			if fn == nil {
-				return func(sqlval.Row) (bool, error) { return true, nil }
-			}
-			return CompiledPred(fn)
-		}
+	fn, err := compileFilter(frameOf(bindings), conds)
+	if err != nil {
+		return func(sqlval.Row) (bool, error) { return false, err }
 	}
-	return func(row sqlval.Row) (bool, error) {
-		for _, c := range conds {
-			ok, err := evalPred(f, c, row)
-			if err != nil || !ok {
-				return false, err
-			}
-		}
-		return true, nil
+	if fn == nil {
+		return func(sqlval.Row) (bool, error) { return true, nil }
 	}
+	return CompiledPred(fn)
 }
 
 // CompileJoinKey compiles a row's join-key column set once, returning
-// the key hasher (same scheme as JoinKeyHash) plus per-key evaluators
-// for equality checks. Falls back to interpreter closures when the
-// compiled layer is off or compilation fails.
+// the key hasher (same fold as HashKeyOffsets) plus per-key evaluators
+// for equality checks. A key that does not compile fails, as under
+// CompileExprOver, from its evaluator and from the hasher.
 func CompileJoinKey(bindings []Binding, keys []Expr) (hash func(sqlval.Row) (uint64, error), evals []CompiledExpr) {
-	f := frameOf(bindings)
-	if CompileEnabled() {
-		if fns, err := compileExprs(f, keys); err == nil {
-			evals = make([]CompiledExpr, len(fns))
-			for i, fn := range fns {
-				evals[i] = CompiledExpr(fn)
-			}
-			return compileHash(fns), evals
-		}
-	}
 	evals = make([]CompiledExpr, len(keys))
+	fns := make([]compiledExpr, len(keys))
 	for i, k := range keys {
-		k := k
-		evals[i] = func(row sqlval.Row) (sqlval.Value, error) { return evalExpr(f, k, row) }
+		evals[i] = CompileExprOver(bindings, k)
+		fns[i] = compiledExpr(evals[i])
 	}
-	return func(row sqlval.Row) (uint64, error) { return hashKey(f, keys, row) }, evals
+	return compileHash(fns), evals
 }
 
 // JoinKeyOffsets resolves join keys to plain column offsets over the
@@ -158,8 +122,8 @@ func JoinKeyOffsets(bindings []Binding, keys []Expr) (offs []int, ok bool) {
 }
 
 // HashKeyOffsets folds the key columns at offs with the same scheme as
-// JoinKeyHash, so offset-resolved and expression-evaluated keys hash
-// identically.
+// CompileJoinKey's hasher, so offset-resolved and expression-evaluated
+// keys hash identically.
 func HashKeyOffsets(row sqlval.Row, offs []int) uint64 {
 	var h uint64 = 1469598103934665603
 	for _, off := range offs {
@@ -180,17 +144,6 @@ func SplitConjunctsPerTable(where Expr, refs []TableRef, schemas []*Schema) (per
 // right side) plus the conditions it could not use.
 func EquiJoinConds(conds []Expr, left, right []Binding) (lkeys, rkeys []Expr, rest []Expr) {
 	return equiJoinKeys(conds, frameOf(left), frameOf(right))
-}
-
-// JoinKeyHash hashes a row's join key for hash-partitioned shuffles and
-// hash joins; rows with equal keys hash equally.
-func JoinKeyHash(bindings []Binding, keys []Expr, row sqlval.Row) (uint64, error) {
-	return hashKey(frameOf(bindings), keys, row)
-}
-
-// JoinKeysEqual compares two rows' join keys; NULL keys never match.
-func JoinKeysEqual(lb []Binding, lkeys []Expr, lrow sqlval.Row, rb []Binding, rkeys []Expr, rrow sqlval.Row) (bool, error) {
-	return keysEqual(frameOf(lb), lkeys, lrow, frameOf(rb), rkeys, rrow)
 }
 
 // NeededColumns lists the columns of one FROM entry referenced anywhere

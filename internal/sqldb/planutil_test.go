@@ -79,20 +79,27 @@ func TestEquiJoinCondsAndHash(t *testing.T) {
 	}
 	lrow := sqlval.Row{sqlval.Int(7), sqlval.Int(1), sqlval.Float(10)}
 	rrow := sqlval.Row{sqlval.Int(7), sqlval.Float(5)}
-	lh, err := JoinKeyHash(lb, lk, lrow)
+	lhash, levals := CompileJoinKey(lb, lk)
+	rhash, revals := CompileJoinKey(rb, rk)
+	lh, err := lhash(lrow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rh, err := JoinKeyHash(rb, rk, rrow)
+	rh, err := rhash(rrow)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lh != rh {
 		t.Error("equal keys hash differently")
 	}
-	eq, err := JoinKeysEqual(lb, lk, lrow, rb, rk, rrow)
-	if err != nil || !eq {
-		t.Errorf("JoinKeysEqual = %v, %v", eq, err)
+	// Offset-resolved keys must hash like expression-evaluated ones.
+	if offs, ok := JoinKeyOffsets(lb, lk); !ok || HashKeyOffsets(lrow, offs) != lh {
+		t.Errorf("HashKeyOffsets disagrees with CompileJoinKey's hasher (offs %v, ok %v)", offs, ok)
+	}
+	lv, lerr := levals[0](lrow)
+	rv, rerr := revals[0](rrow)
+	if lerr != nil || rerr != nil || !sqlval.Equal(lv, rv) {
+		t.Errorf("key evaluators = %v (%v), %v (%v)", lv, lerr, rv, rerr)
 	}
 }
 
@@ -119,19 +126,41 @@ func TestProjectRowsGroupedOverBindings(t *testing.T) {
 	}
 }
 
-func TestEvalPredicateOverBindings(t *testing.T) {
+func TestCompiledClosuresOverBindings(t *testing.T) {
 	b := []Binding{{Alias: "l", Schema: liSchema()}, {Alias: "o", Schema: ordSchema()}}
-	stmt, _ := ParseSelect(`SELECT 1 FROM lineitem l, orders o WHERE l.l_price > o.o_total`)
+	stmt, _ := ParseSelect(`SELECT l.l_price - o.o_total FROM lineitem l, orders o WHERE l.l_price > o.o_total`)
 	row := sqlval.Row{sqlval.Int(1), sqlval.Int(1), sqlval.Float(10), sqlval.Int(1), sqlval.Float(5)}
-	ok, err := EvalPredicate(b, stmt.Where, row)
+	ok, err := CompilePredicates(b, Conjuncts(stmt.Where))(row)
 	if err != nil || !ok {
 		t.Errorf("pred = %v, %v", ok, err)
+	}
+	if v, err := CompileExprOver(b, stmt.Items[0].Expr)(row); err != nil || v.AsFloat() != 5 {
+		t.Errorf("expr = %v, %v", v, err)
+	}
+	if ok, err := CompilePredicates(b, nil)(row); err != nil || !ok {
+		t.Errorf("empty conjunction = %v, %v", ok, err)
 	}
 	if !Resolvable(b, stmt.Where) {
 		t.Error("Resolvable = false")
 	}
 	if Resolvable(b[:1], stmt.Where) {
 		t.Error("cross-table expr resolvable in one binding")
+	}
+	// An expression that does not compile fails when evaluated, with the
+	// compile error, from every closure built over it.
+	ghost := &ColumnRef{Column: "ghost"}
+	if _, err := CompileExprOver(b, ghost)(row); err == nil || !strings.Contains(err.Error(), "unknown column ghost") {
+		t.Errorf("CompileExprOver(ghost) err = %v", err)
+	}
+	if _, err := CompilePredicates(b, []Expr{ghost})(row); err == nil || !strings.Contains(err.Error(), "unknown column ghost") {
+		t.Errorf("CompilePredicates(ghost) err = %v", err)
+	}
+	hash, evals := CompileJoinKey(b, []Expr{ghost})
+	if _, err := hash(row); err == nil {
+		t.Error("CompileJoinKey(ghost) hasher succeeded")
+	}
+	if _, err := evals[0](row); err == nil {
+		t.Error("CompileJoinKey(ghost) evaluator succeeded")
 	}
 }
 

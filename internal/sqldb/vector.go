@@ -5,7 +5,7 @@ import (
 	"bestpeer/internal/telemetry"
 )
 
-// This file is the data plane of the vectorized executor: typed column
+// This file is the data plane of the executor: typed column
 // vectors of up to batchSize rows, three-valued predicate vectors, the
 // selection vector carried from scan through filter to projection, and
 // the tight per-lane loops comparators and arithmetic compile down to.
@@ -14,9 +14,8 @@ import (
 // comparison is one branch-light loop over the selection vector, and
 // NULLs ride in a parallel []bool. sqlval.Value appears only at the
 // edges — loading a column from stored rows and materializing output
-// rows — so the per-row cost of the old closure pipeline (interface
-// dispatch, Value construction, kind switches) is paid once per batch
-// instead of once per row per operator.
+// rows — so interface dispatch, Value construction and kind switches
+// are paid once per batch instead of once per row per operator.
 
 // batchSize is the number of rows processed per batch: big enough to
 // amortize per-batch dispatch, small enough that a batch's working set
@@ -30,8 +29,6 @@ var (
 	// filter — the selection-bitmap density.
 	batchSelDensity = telemetry.Default.Histogram("sqldb_batch_selectivity",
 		[]float64{0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1})
-	batchFallbacks    = telemetry.Default.Counter("sqldb_batch_fallbacks_total")
-	batchPlanCompiles = telemetry.Default.Counter("sqldb_batch_plans_compiled_total")
 )
 
 // identSel is the shared all-rows selection vector; scans slice it to
@@ -146,22 +143,22 @@ func (p *pvec) ensure() {
 // same three-branch form as sqlval.Compare's cmpFloat so NaN orders
 // identically ("not less, not greater" collapses to equal).
 
-func opMasks(op string) (lt, eq, gt, ok bool) {
+func opMasks(op string) (lt, eq, gt bool) {
 	switch op {
 	case "=":
-		return false, true, false, true
+		return false, true, false
 	case "<>":
-		return true, false, true, true
+		return true, false, true
 	case "<":
-		return true, false, false, true
+		return true, false, false
 	case "<=":
-		return true, true, false, true
+		return true, true, false
 	case ">":
-		return false, false, true, true
+		return false, false, true
 	case ">=":
-		return false, true, true, true
+		return false, true, true
 	default:
-		return false, false, false, false
+		return false, false, false
 	}
 }
 
@@ -204,6 +201,27 @@ func cmpStrVV(l, r *vec, out *pvec, sel []int32, lt, eq, gt bool) {
 		}
 		out.null[i] = false
 		a, b := l.s[i], r.s[i]
+		out.val[i] = (a < b && lt) || (a == b && eq) || (a > b && gt)
+	}
+}
+
+// cmpDateStrVV compares a DATE lane with a string lane the way
+// compareCoerced does per row: a string that parses as a date compares
+// as one; any other string orders below every date (sqlval.Compare's
+// kind-tag order), so the date side is "greater".
+func cmpDateStrVV(d, s *vec, out *pvec, sel []int32, lt, eq, gt bool) {
+	for _, i := range sel {
+		if d.null[i] || s.null[i] {
+			out.null[i], out.val[i] = true, false
+			continue
+		}
+		out.null[i] = false
+		p, err := sqlval.ParseDate(s.s[i])
+		if err != nil {
+			out.val[i] = gt
+			continue
+		}
+		a, b := d.i[i], p.AsInt()
 		out.val[i] = (a < b && lt) || (a == b && eq) || (a > b && gt)
 	}
 }
@@ -287,8 +305,8 @@ func divFloatVV(l, r, out *vec, sel []int32) {
 
 // --- boolean primitives ------------------------------------------------
 
-// andPred collapses each operand's NULL to false (the row engine's
-// predicate boundary does exactly this on AND/OR children) and ANDs.
+// andPred collapses each operand's NULL to false (evalExpr does exactly
+// this on AND/OR children, through evalPred) and ANDs.
 // The output carries no NULLs. Operands are read before the output is
 // written so out may alias a (the filter fold accumulates in place).
 func andPred(a, b, out *pvec, sel []int32) {
@@ -328,7 +346,7 @@ func notPred(a, out *pvec, sel []int32) {
 
 // orMatched accumulates IN-list membership: a definite match from one
 // item comparison sets the accumulator; NULL comparisons (NULL list
-// items) are skipped, exactly as the row loop skips them.
+// items) are skipped, exactly as evalExpr's IN loop skips them.
 func orMatched(acc, c *pvec, sel []int32) {
 	for _, i := range sel {
 		if c.val[i] && !c.null[i] {
