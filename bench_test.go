@@ -335,26 +335,6 @@ func BenchmarkAblationIndexPriority(b *testing.B) {
 	b.ReportMetric(float64(withoutRange), "peers_column_idx")
 }
 
-// BenchmarkFanoutWallClock measures real wall-clock concurrency — the
-// one axis the virtual-time benches cannot: 8 data peers each charging
-// a 10 ms service delay, fetched sequentially vs through the fan-out
-// pool. The JSON line lands in the log so BENCH_fanout.json can track
-// the trajectory across PRs.
-func BenchmarkFanoutWallClock(b *testing.B) {
-	var r *bench.FanoutResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = bench.FanoutWallClock(8, 10*time.Millisecond)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Logf("fanout: %s", r.JSONLine())
-	b.ReportMetric(r.SequentialMS, "seq_ms")
-	b.ReportMetric(r.ConcurrentMS, "conc_ms")
-	b.ReportMetric(r.Speedup, "speedup_x")
-}
-
 // BenchmarkAblationFanout measures the parallel engine's replicated-join
 // cost as the processing fan-out (peer count) grows.
 func BenchmarkAblationFanout(b *testing.B) {

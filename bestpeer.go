@@ -87,7 +87,7 @@ type Network struct {
 	env peer.Env
 
 	// mu guards the peer topology below. Readers are everywhere — the
-	// serving tier calls ClusterVersions from handler goroutines on
+	// serving tier calls ClusterTableVersions from handler goroutines on
 	// every cacheable query — while failover and AddPeer mutate under
 	// load, so every access goes through it.
 	mu        sync.RWMutex
@@ -256,16 +256,12 @@ func (n *Network) Query(i int, sql string, opts QueryOptions) (*engine.QueryResu
 // it. Without this call no serving verb is registered and nothing in
 // the query path changes.
 func (n *Network) EnableServing(cfg serving.Config) {
-	if cfg.Versions == nil {
-		// Queries fan out across peers, so a cached result must be keyed
-		// by the whole network's version sum: DML at any data owner
-		// invalidates, not just at the serving peer.
-		cfg.Versions = n.ClusterVersions
-	}
 	if cfg.TableVersions == nil {
-		// Precise stamping: per-table version vectors summed across the
-		// cluster, so DML against one table leaves results over other
-		// tables cached (the cluster sum would invalidate everything).
+		// Queries fan out across peers, so a cached result is stamped
+		// with per-table version vectors summed across the cluster: DML
+		// at any data owner invalidates, not just at the serving peer,
+		// and DML against one table leaves results over other tables
+		// cached.
 		cfg.TableVersions = n.ClusterTableVersions
 	}
 	n.mu.Lock()
@@ -292,24 +288,13 @@ func (n *Network) ServingClient(name string, i int) *serving.Client {
 	return serving.NewClient(n.Net.Join(name), n.Peer(i).ID())
 }
 
-// ClusterVersions sums every live peer's (schema, data) versions: the
-// version pair a network-wide result cache entry must be stamped with
-// so any peer's DDL or DML invalidates it. Serving handler goroutines
-// call this on every cacheable query, concurrently with failover and
-// AddPeer — it reads a snapshot of the topology, never the live slice.
-func (n *Network) ClusterVersions() (schema, data uint64) {
-	for _, p := range n.Peers() {
-		s, d := p.DB().Versions()
-		schema += s
-		data += d
-	}
-	return schema, data
-}
-
 // ClusterTableVersions sums, across every peer, the schema version and
 // the per-table data versions of exactly the given tables. The serving
 // result cache stamps entries with this vector so DML against one table
-// only invalidates results that actually read it.
+// only invalidates results that actually read it. Serving handler
+// goroutines call this on every cacheable query, concurrently with
+// failover and AddPeer — it reads a snapshot of the topology, never the
+// live slice.
 func (n *Network) ClusterTableVersions(tables []string) (schema uint64, data []uint64) {
 	data = make([]uint64, len(tables))
 	for _, p := range n.Peers() {
@@ -340,8 +325,8 @@ func (n *Network) EnableHeatMitigation(k int) {
 }
 
 // SetLocatorCache flips every current peer's index-entry cache. The
-// flash-crowd benchmarks disable it so each query's index lookups hit
-// the overlay (the funnel mitigation relieves); production leaves it on.
+// flash-crowd tests disable it so each query's index lookups hit the
+// overlay (the funnel mitigation relieves); production leaves it on.
 func (n *Network) SetLocatorCache(enabled bool) {
 	for _, p := range n.Peers() {
 		p.Locator().SetCache(enabled)

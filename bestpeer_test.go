@@ -16,6 +16,7 @@ import (
 	"bestpeer/internal/schemamap"
 	"bestpeer/internal/sqldb"
 	"bestpeer/internal/sqlval"
+	"bestpeer/internal/telemetry"
 	"bestpeer/internal/tpch"
 )
 
@@ -74,6 +75,20 @@ func TestEndToEndAllStrategiesMatchOracle(t *testing.T) {
 	const sf = 0.003
 	n := newLoadedNetwork(t, peers, sf)
 	oracle := oracleFor(t, peers, sf)
+	// retriesAndTimeouts sums the transport's retry and timeout counters
+	// over every destination.
+	retriesAndTimeouts := func() (retries, timeouts float64) {
+		for _, p := range telemetry.Default.Export().Points {
+			switch p.Name {
+			case "pnet_retries_total":
+				retries += p.Value
+			case "pnet_timeouts_total":
+				timeouts += p.Value
+			}
+		}
+		return retries, timeouts
+	}
+	retries0, timeouts0 := retriesAndTimeouts()
 
 	queries := map[string]string{
 		"Q1": tpch.Q1Default(),
@@ -107,6 +122,10 @@ func TestEndToEndAllStrategiesMatchOracle(t *testing.T) {
 	}
 	if stats := n.Net.Stats(); stats.Messages == 0 || stats.BytesSent == 0 {
 		t.Error("no network traffic recorded for distributed queries")
+	}
+	// A healthy network never exercises the hardened RPC path's recovery.
+	if retries, timeouts := retriesAndTimeouts(); retries != retries0 || timeouts != timeouts0 {
+		t.Errorf("healthy network: %v retries and %v timeouts, want 0 and 0", retries-retries0, timeouts-timeouts0)
 	}
 }
 

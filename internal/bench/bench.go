@@ -39,11 +39,6 @@ type Config struct {
 	Seed int64
 }
 
-// Default returns the configuration used by the checked-in benchmarks.
-func Default() Config {
-	return Config{Nodes: []int{10, 20, 50}, PerNodeSF: 0.0004, TargetPerNodeBytes: 1e9, Seed: 1}
-}
-
 // scaledRates derives the experiment's cost-model rates: byte rates are
 // divided by (TargetPerNodeBytes / measured per-node bytes), so a query
 // over the toy partition accrues the virtual time the paper-scale

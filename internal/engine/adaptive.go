@@ -53,12 +53,9 @@ type Plan struct {
 
 // Plan estimates both strategies for the statement.
 func (e *Adaptive) Plan(stmt *sqldb.SelectStmt) (*Plan, error) {
-	if err := e.Opts.Validate(); err != nil {
-		return nil, err
-	}
 	sp := e.Span.StartChild("plan")
 	defer sp.End()
-	accesses, _, err := resolveAccess(e.B, stmt, e.Opts.FanoutWidth, sp)
+	accesses, _, err := resolveAccess(e.B, stmt, sp)
 	if err != nil {
 		sp.SetError(err)
 		return nil, err

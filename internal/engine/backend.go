@@ -170,13 +170,6 @@ type Options struct {
 	// false (default) keeps BestPeer++'s push transfers; true adds the
 	// MapReduce-style pull delay to every fetch round.
 	SimulatePullTransfer bool
-	// FanoutWidth bounds the concurrent remote calls per fan-out round
-	// (subquery fetches, replicated-join dispatch, table resolution).
-	// 0 selects min(DefaultFanoutWidth, #targets), the paper's 20
-	// fetch threads (§6.1.2); 1 forces sequential execution — the
-	// ablation baseline the determinism tests and benchmarks compare
-	// against. Negative widths are rejected by Validate.
-	FanoutWidth int
 	// HotPeers lists peers the monitoring plane reports as
 	// heat-saturated: fan-out rounds rotate their dispatch order and
 	// contact these peers last, so synchronized rounds stop front-
@@ -200,17 +193,6 @@ func (o Options) DispatchOrder(targets []string) []int {
 	return RotatedOrder(len(targets), func(i int) bool { return hot[targets[i]] })
 }
 
-// Validate rejects malformed options before any remote work starts.
-// Every engine entry point calls it, so a negative FanoutWidth fails
-// loudly instead of silently selecting the default width.
-func (o Options) Validate() error {
-	if o.FanoutWidth < 0 {
-		return fmt.Errorf("engine: invalid FanoutWidth %d: must be >= 0 (0 selects the default of %d, 1 forces sequential execution)",
-			o.FanoutWidth, DefaultFanoutWidth)
-	}
-	return nil
-}
-
 // tableAccess is one FROM entry's resolved access plan.
 type tableAccess struct {
 	ref       sqldb.TableRef
@@ -223,9 +205,9 @@ type tableAccess struct {
 
 // resolveAccess locates data owners and builds push-down plans for every
 // FROM entry. The per-table Locate calls — index lookups that may fall
-// back to probing every participant — fan out concurrently with the
-// given width. The round is traced as one "resolve" span under parent.
-func resolveAccess(b Backend, stmt *sqldb.SelectStmt, width int, parent *telemetry.Span) ([]*tableAccess, []sqldb.Expr, error) {
+// back to probing every participant — fan out concurrently. The round
+// is traced as one "resolve" span under parent.
+func resolveAccess(b Backend, stmt *sqldb.SelectStmt, parent *telemetry.Span) ([]*tableAccess, []sqldb.Expr, error) {
 	sp := parent.StartChild("resolve", telemetry.L("tables", fmt.Sprintf("%d", len(stmt.From))))
 	defer sp.End()
 	schemas := make([]*sqldb.Schema, len(stmt.From))
@@ -239,7 +221,7 @@ func resolveAccess(b Backend, stmt *sqldb.SelectStmt, width int, parent *telemet
 		schemas[i] = s
 	}
 	perTable, cross := sqldb.SplitConjunctsPerTable(stmt.Where, stmt.From, schemas)
-	out, err := FanOut(width, len(stmt.From), func(i int) (*tableAccess, error) {
+	out, err := FanOut(len(stmt.From), func(i int) (*tableAccess, error) {
 		ref := stmt.From[i]
 		cols := sqldb.NeededColumns(stmt, ref, schemas[i])
 		sub, err := sqldb.SubSchema(schemas[i], cols)

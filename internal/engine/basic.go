@@ -55,7 +55,7 @@ func (e *Basic) fetch(a *tableAccess, bloomCol string, bloom *Bloom) (*fetchRoun
 		req.BloomColumn = bloomCol
 		req.Bloom = bloom
 	}
-	results, err := FanOutOrdered(e.Opts.FanoutWidth, len(a.loc.Peers), e.Opts.DispatchOrder(a.loc.Peers), func(i int) (*sqldb.Result, error) {
+	results, err := FanOutOrdered(len(a.loc.Peers), e.Opts.DispatchOrder(a.loc.Peers), func(i int) (*sqldb.Result, error) {
 		return e.B.SubQuery(a.loc.Peers[i], req)
 	})
 	if err != nil {
@@ -102,14 +102,11 @@ func (e *Basic) Execute(stmt *sqldb.SelectStmt) (*QueryResult, error) {
 }
 
 func (e *Basic) execute(stmt *sqldb.SelectStmt) (*QueryResult, error) {
-	if err := e.Opts.Validate(); err != nil {
-		return nil, err
-	}
 	if e.Timestamp == 0 {
 		e.Timestamp = e.B.QueryTimestamp()
 	}
 	rates := e.B.Rates()
-	accesses, cross, err := resolveAccess(e.B, stmt, e.Opts.FanoutWidth, e.Span)
+	accesses, cross, err := resolveAccess(e.B, stmt, e.Span)
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +165,7 @@ func (e *Basic) execute(stmt *sqldb.SelectStmt) (*QueryResult, error) {
 		} else if ok {
 			sp := e.Span.StartChild("partial-agg:"+a.ref.Table, telemetry.L("peers", fmt.Sprintf("%d", len(a.loc.Peers))))
 			req := SubQueryRequest{Stmt: d.Partial, User: e.User, Timestamp: e.Timestamp, Trace: sp.Context(), StmtBytes: SubQueryBytes(d.Partial)}
-			results, err := FanOutOrdered(e.Opts.FanoutWidth, len(a.loc.Peers), e.Opts.DispatchOrder(a.loc.Peers), func(i int) (*sqldb.Result, error) {
+			results, err := FanOutOrdered(len(a.loc.Peers), e.Opts.DispatchOrder(a.loc.Peers), func(i int) (*sqldb.Result, error) {
 				return e.B.SubQuery(a.loc.Peers[i], req)
 			})
 			if err != nil {

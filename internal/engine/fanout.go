@@ -19,10 +19,10 @@ import (
 // accumulation, pay-as-you-go charges — stays byte-for-byte identical
 // to the sequential loops it replaces.
 
-// DefaultFanoutWidth is the default bound on in-flight remote calls per
-// fan-out round, the paper's per-peer fetch-thread count (§6.1.2: "20
-// threads are used for fetching data in parallel").
-const DefaultFanoutWidth = 20
+// fanoutWidth bounds the in-flight remote calls per fan-out round: the
+// paper's per-peer fetch-thread count (§6.1.2: "20 threads are used for
+// fetching data in parallel").
+const fanoutWidth = 20
 
 // Metric handles are resolved once; FanOut sits on every query's path.
 var (
@@ -32,54 +32,24 @@ var (
 	fanoutPoolExhausted = telemetry.Default.Counter("engine_fanout_pool_exhausted_total")
 )
 
-// sharedPool bounds the *extra* worker goroutines across every fan-out
+// workerSlots bounds the *extra* worker goroutines across every fan-out
 // round executing in the process, so many concurrent queries cannot
-// stack unbounded goroutine fleets. The dispatching goroutine always
-// works through the round itself without holding a token, which keeps
-// nested fan-outs (a table-resolution round whose Locate probes
-// participants, say) deadlock-free: exhausting the pool only degrades a
-// round toward sequential execution, never blocks it.
-var sharedPool = newWorkerPool(4 * DefaultFanoutWidth)
+// stack unbounded goroutine fleets: a worker holds one slot (a value in
+// the channel) while it runs. The dispatching goroutine always works
+// through the round itself without holding a slot, which keeps nested
+// fan-outs (a table-resolution round whose Locate probes participants,
+// say) deadlock-free: exhausting the pool only degrades a round toward
+// sequential execution, never blocks it.
+var workerSlots = make(chan struct{}, 4*fanoutWidth)
 
-type workerPool struct {
-	tokens atomic.Pointer[chan struct{}]
-}
-
-func newWorkerPool(capacity int) *workerPool {
-	p := &workerPool{}
-	ch := make(chan struct{}, capacity)
-	for i := 0; i < capacity; i++ {
-		ch <- struct{}{}
-	}
-	p.tokens.Store(&ch)
-	return p
-}
-
-// tryAcquire takes a token without blocking. The returned channel is
-// where the token must be released, so resizes never lose or duplicate
-// tokens held by in-flight workers.
-func (p *workerPool) tryAcquire() (chan struct{}, bool) {
-	ch := *p.tokens.Load()
+// tryAcquireWorker takes a worker slot without blocking.
+func tryAcquireWorker() bool {
 	select {
-	case <-ch:
-		return ch, true
+	case workerSlots <- struct{}{}:
+		return true
 	default:
-		return nil, false
+		return false
 	}
-}
-
-// SetFanoutPoolCapacity resizes the shared worker pool (deployment
-// tuning; the default is 4×DefaultFanoutWidth). Workers already running
-// finish against the old pool.
-func SetFanoutPoolCapacity(capacity int) {
-	if capacity < 0 {
-		capacity = 0
-	}
-	ch := make(chan struct{}, capacity)
-	for i := 0; i < capacity; i++ {
-		ch <- struct{}{}
-	}
-	sharedPool.tokens.Store(&ch)
 }
 
 // dispatchRound numbers ordered fan-out rounds process-wide; each round
@@ -112,21 +82,19 @@ func RotatedOrder(n int, isHot func(i int) bool) []int {
 	return append(order, hot...)
 }
 
-// FanOut dispatches call(0) … call(n-1) with at most width calls in
-// flight and returns the results in index order, so callers merging
-// rows or folding costs over the slots observe exactly the order the
-// sequential loop produced. width ≤ 0 selects DefaultFanoutWidth;
-// width 1 runs the calls sequentially (the ablation baseline), bailing
-// at the first error like the loops this helper replaced.
+// FanOut dispatches call(0) … call(n-1) with at most
+// min(fanoutWidth, n) calls in flight and returns the results in
+// index order, so callers merging rows or folding costs over the slots
+// observe the same output whatever order the calls complete in. A
+// one-call round runs inline on the caller's goroutine.
 //
-// In the concurrent case every call runs to completion even when a
-// sibling fails — in-flight work is drained, never abandoned — and the
-// error at the lowest index is returned. That is the same error the
-// sequential loop would have surfaced, so a data owner's
+// Every call runs to completion even when a sibling fails — in-flight
+// work is drained, never abandoned — and the error at the lowest index
+// is returned whatever order the calls fail in, so a data owner's
 // ErrSnapshotNewer still wins deterministically and the Definition-2
 // resubmission semantics are unchanged.
-func FanOut[T any](width, n int, call func(i int) (T, error)) ([]T, error) {
-	return FanOutOrdered(width, n, nil, call)
+func FanOut[T any](n int, call func(i int) (T, error)) ([]T, error) {
+	return FanOutOrdered(n, nil, call)
 }
 
 // FanOutOrdered is FanOut with an explicit dispatch order (a
@@ -134,32 +102,23 @@ func FanOut[T any](width, n int, call func(i int) (T, error)) ([]T, error) {
 // following order, but results are still returned in index order with
 // identical error semantics, so callers observe no difference beyond
 // which call leaves first. A nil or wrong-length order dispatches in
-// natural order — byte-identical to FanOut. Sequential rounds
-// (width 1) ignore the order: the ablation baseline stays the plain
-// loop, bailing at the first error in index order.
-func FanOutOrdered[T any](width, n int, order []int, call func(i int) (T, error)) ([]T, error) {
+// natural order — byte-identical to FanOut.
+func FanOutOrdered[T any](n int, order []int, call func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	if width <= 0 {
-		width = DefaultFanoutWidth
-	}
-	if width > n {
-		width = n
-	}
+	width := min(fanoutWidth, n)
 	if len(order) != n {
 		order = nil
 	}
 	fanoutRounds.Inc()
 	slots := make([]T, n)
-	if width <= 1 {
-		for i := 0; i < n; i++ {
-			v, err := call(i)
-			if err != nil {
-				return nil, err
-			}
-			slots[i] = v
+	if width == 1 {
+		v, err := call(0)
+		if err != nil {
+			return nil, err
 		}
+		slots[0] = v
 		return slots, nil
 	}
 
@@ -187,8 +146,7 @@ func FanOutOrdered[T any](width, n int, order []int, call func(i int) (T, error)
 	}
 	var wg sync.WaitGroup
 	for extra := 0; extra < width-1; extra++ {
-		tokens, ok := sharedPool.tryAcquire()
-		if !ok {
+		if !tryAcquireWorker() {
 			fanoutPoolExhausted.Inc()
 			break
 		}
@@ -197,7 +155,7 @@ func FanOutOrdered[T any](width, n int, order []int, call func(i int) (T, error)
 		go func() {
 			defer wg.Done()
 			defer fanoutWorkersActive.Add(-1)
-			defer func() { tokens <- struct{}{} }()
+			defer func() { <-workerSlots }()
 			work()
 		}()
 	}

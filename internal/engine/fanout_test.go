@@ -3,7 +3,10 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,7 +18,7 @@ import (
 // regardless of completion order: later indexes finish first.
 func TestFanOutIndexOrderedSlots(t *testing.T) {
 	const n = 16
-	got, err := FanOut(n, n, func(i int) (int, error) {
+	got, err := FanOut(n, func(i int) (int, error) {
 		time.Sleep(time.Duration(n-i) * time.Millisecond)
 		return i, nil
 	})
@@ -37,7 +40,7 @@ func TestFanOutLowestIndexErrorWins(t *testing.T) {
 	late := fmt.Errorf("wrapped: %w", ErrSnapshotNewer)
 	early := errors.New("fast unrelated failure")
 	for trial := 0; trial < 5; trial++ {
-		_, err := FanOut(8, 8, func(i int) (int, error) {
+		_, err := FanOut(8, func(i int) (int, error) {
 			switch i {
 			case 2:
 				time.Sleep(20 * time.Millisecond) // slow, lowest-index error
@@ -50,26 +53,6 @@ func TestFanOutLowestIndexErrorWins(t *testing.T) {
 		if !errors.Is(err, ErrSnapshotNewer) {
 			t.Fatalf("trial %d: got %v, want the index-2 snapshot error", trial, err)
 		}
-	}
-}
-
-// TestFanOutWidthOneIsSequential proves the ablation baseline stops at
-// the first error without issuing later calls.
-func TestFanOutWidthOneIsSequential(t *testing.T) {
-	var calls atomic.Int32
-	boom := errors.New("boom")
-	_, err := FanOut(1, 8, func(i int) (int, error) {
-		calls.Add(1)
-		if i == 3 {
-			return 0, boom
-		}
-		return i, nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	if got := calls.Load(); got != 4 {
-		t.Fatalf("sequential path issued %d calls, want 4", got)
 	}
 }
 
@@ -116,56 +99,98 @@ func TestBasicFetchRunsConcurrently(t *testing.T) {
 	}
 }
 
+// jitterBackend delays every SubQuery and JoinAt by a pseudo-random
+// amount drawn from a seeded source, so the order in which a fan-out
+// round's calls complete changes from seed to seed. It logs the peers
+// in completion order.
+type jitterBackend struct {
+	*testBackend
+	mu   sync.Mutex
+	rng  *rand.Rand
+	done []string
+}
+
+func (b *jitterBackend) wait(peer string) func() {
+	b.mu.Lock()
+	d := time.Duration(b.rng.Intn(3000)) * time.Microsecond
+	b.mu.Unlock()
+	time.Sleep(d)
+	return func() {
+		b.mu.Lock()
+		b.done = append(b.done, peer)
+		b.mu.Unlock()
+	}
+}
+
+func (b *jitterBackend) SubQuery(peer string, req SubQueryRequest) (*sqldb.Result, error) {
+	defer b.wait(peer)()
+	return b.testBackend.SubQuery(peer, req)
+}
+
+func (b *jitterBackend) JoinAt(peer string, task JoinTask) (*sqldb.Result, error) {
+	defer b.wait(peer)()
+	return b.testBackend.JoinAt(peer, task)
+}
+
 // TestConcurrentExecutionDeterministic proves the tentpole invariant:
-// concurrent fan-out produces byte-for-byte the same rows, virtual-time
-// cost, and pay-as-you-go charge as the sequential loops it replaced,
-// for every paper query on both distributed engines.
+// the rows, virtual-time cost, pay-as-you-go charge and counters of a
+// fan-out query do not depend on the order its remote calls complete
+// in, for every paper query on both distributed engines. Each seed
+// reorders completions differently; every run must equal the undelayed
+// one.
 func TestConcurrentExecutionDeterministic(t *testing.T) {
 	b, _ := newTPCHBackend(t, 4, 0.002)
-	for name, q := range paperQueries() {
-		stmt, err := sqldb.ParseSelect(q)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	queries := paperQueries()
+	names := make([]string, 0, len(queries))
+	for name := range queries {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	execute := func(b Backend, engine string, stmt *sqldb.SelectStmt) (*QueryResult, error) {
+		if engine == "basic" {
+			return (&Basic{B: b}).Execute(stmt)
 		}
-		engines := map[string]func(Options) interface {
-			Execute(*sqldb.SelectStmt) (*QueryResult, error)
-		}{
-			"basic": func(o Options) interface {
-				Execute(*sqldb.SelectStmt) (*QueryResult, error)
-			} {
-				return &Basic{B: b, Opts: o}
-			},
-			"parallel": func(o Options) interface {
-				Execute(*sqldb.SelectStmt) (*QueryResult, error)
-			} {
-				return &Parallel{B: b, Opts: o}
-			},
-		}
-		for ename, mk := range engines {
-			seq, err := mk(Options{FanoutWidth: 1}).Execute(stmt)
+		return (&Parallel{B: b}).Execute(stmt)
+	}
+	orders := make(map[string]bool)
+	for seed := int64(1); seed <= 3; seed++ {
+		jb := &jitterBackend{testBackend: b, rng: rand.New(rand.NewSource(seed))}
+		for _, name := range names {
+			stmt, err := sqldb.ParseSelect(queries[name])
 			if err != nil {
-				t.Fatalf("%s on sequential %s: %v", name, ename, err)
+				t.Fatalf("%s: %v", name, err)
 			}
-			conc, err := mk(Options{}).Execute(stmt)
-			if err != nil {
-				t.Fatalf("%s on concurrent %s: %v", name, ename, err)
-			}
-			if !reflect.DeepEqual(seq.Result.Rows, conc.Result.Rows) {
-				t.Errorf("%s/%s: concurrent rows differ from sequential", name, ename)
-			}
-			if !reflect.DeepEqual(seq.Result.Columns, conc.Result.Columns) {
-				t.Errorf("%s/%s: columns differ", name, ename)
-			}
-			if seq.Cost != conc.Cost {
-				t.Errorf("%s/%s: cost %v != %v", name, ename, seq.Cost, conc.Cost)
-			}
-			if seq.PayGoUnits != conc.PayGoUnits {
-				t.Errorf("%s/%s: paygo %v != %v", name, ename, seq.PayGoUnits, conc.PayGoUnits)
-			}
-			if seq.SubQueries != conc.SubQueries || seq.BytesFetched != conc.BytesFetched || seq.BytesScanned != conc.BytesScanned {
-				t.Errorf("%s/%s: counters differ: %+v vs %+v", name, ename, seq, conc)
+			for _, engine := range []string{"basic", "parallel"} {
+				want, err := execute(b, engine, stmt)
+				if err != nil {
+					t.Fatalf("%s on undelayed %s: %v", name, engine, err)
+				}
+				got, err := execute(jb, engine, stmt)
+				if err != nil {
+					t.Fatalf("seed %d: %s on delayed %s: %v", seed, name, engine, err)
+				}
+				id := fmt.Sprintf("seed %d %s/%s", seed, name, engine)
+				if !reflect.DeepEqual(want.Result.Rows, got.Result.Rows) {
+					t.Errorf("%s: rows differ from the undelayed run", id)
+				}
+				if !reflect.DeepEqual(want.Result.Columns, got.Result.Columns) {
+					t.Errorf("%s: columns differ", id)
+				}
+				if want.Cost != got.Cost {
+					t.Errorf("%s: cost %v != %v", id, want.Cost, got.Cost)
+				}
+				if want.PayGoUnits != got.PayGoUnits {
+					t.Errorf("%s: paygo %v != %v", id, want.PayGoUnits, got.PayGoUnits)
+				}
+				if want.SubQueries != got.SubQueries || want.BytesFetched != got.BytesFetched || want.BytesScanned != got.BytesScanned {
+					t.Errorf("%s: counters differ: %+v vs %+v", id, want, got)
+				}
 			}
 		}
+		orders[fmt.Sprint(jb.done)] = true
+	}
+	if len(orders) < 2 {
+		t.Error("every seed completed the calls in the same order; the delays reorder nothing")
 	}
 }
 
@@ -216,7 +241,7 @@ func TestRotatedOrderPermutesAndDemotesHot(t *testing.T) {
 // A malformed order (wrong length) falls back to natural dispatch.
 func TestFanOutOrderedResultsIndexOrdered(t *testing.T) {
 	call := func(i int) (int, error) { return i * 10, nil }
-	want, err := FanOut(4, 6, call)
+	want, err := FanOut(6, call)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +251,7 @@ func TestFanOutOrderedResultsIndexOrdered(t *testing.T) {
 		nil,
 		{1, 0}, // wrong length: ignored
 	} {
-		got, err := FanOutOrdered(4, 6, order, call)
+		got, err := FanOutOrdered(6, order, call)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,18 +259,22 @@ func TestFanOutOrderedResultsIndexOrdered(t *testing.T) {
 			t.Errorf("order %v: results %v, want %v", order, got, want)
 		}
 	}
-	// Sequential width ignores the order entirely and still bails at the
-	// lowest-index error.
-	calls := 0
-	_, err = FanOutOrdered(1, 6, []int{5, 4, 3, 2, 1, 0}, func(i int) (int, error) {
-		calls++
-		if i == 1 {
-			return 0, errors.New("boom")
+	// A reversed dispatch order reaches index 4's error first; the
+	// index-1 error is still the one returned, and every call ran.
+	var calls atomic.Int32
+	low := errors.New("index 1")
+	_, err = FanOutOrdered(6, []int{5, 4, 3, 2, 1, 0}, func(i int) (int, error) {
+		calls.Add(1)
+		switch i {
+		case 1:
+			return 0, low
+		case 4:
+			return 0, errors.New("index 4")
 		}
 		return i, nil
 	})
-	if err == nil || calls != 2 {
-		t.Errorf("sequential ordered run: err %v after %d calls, want error at call 2", err, calls)
+	if err != low || calls.Load() != 6 {
+		t.Errorf("reversed ordered run: err %v after %d calls, want the index-1 error after 6", err, calls.Load())
 	}
 }
 

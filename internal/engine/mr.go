@@ -42,14 +42,11 @@ func (e *MapReduce) execute(stmt *sqldb.SelectStmt) (*QueryResult, error) {
 	if cluster == nil {
 		return nil, fmt.Errorf("engine: MapReduce engine requested but no cluster is mounted")
 	}
-	if err := e.Opts.Validate(); err != nil {
-		return nil, err
-	}
 	if e.Timestamp == 0 {
 		e.Timestamp = e.B.QueryTimestamp()
 	}
 	rates := e.B.Rates()
-	accesses, cross, err := resolveAccess(e.B, stmt, e.Opts.FanoutWidth, e.Span)
+	accesses, cross, err := resolveAccess(e.B, stmt, e.Span)
 	if err != nil {
 		return nil, err
 	}
@@ -72,7 +69,7 @@ func (e *MapReduce) execute(stmt *sqldb.SelectStmt) (*QueryResult, error) {
 		sp := e.Span.StartChild("splits:"+a.ref.Table, telemetry.L("peers", fmt.Sprintf("%d", len(a.loc.Peers))))
 		defer sp.End()
 		req := SubQueryRequest{Stmt: sub, User: e.User, Timestamp: e.Timestamp, Trace: sp.Context(), StmtBytes: SubQueryBytes(sub)}
-		results, err := FanOutOrdered(e.Opts.FanoutWidth, len(a.loc.Peers), e.Opts.DispatchOrder(a.loc.Peers), func(i int) (*sqldb.Result, error) {
+		results, err := FanOutOrdered(len(a.loc.Peers), e.Opts.DispatchOrder(a.loc.Peers), func(i int) (*sqldb.Result, error) {
 			return e.B.SubQuery(a.loc.Peers[i], req)
 		})
 		if err != nil {

@@ -38,14 +38,11 @@ func (e *Parallel) Execute(stmt *sqldb.SelectStmt) (*QueryResult, error) {
 }
 
 func (e *Parallel) execute(stmt *sqldb.SelectStmt) (*QueryResult, error) {
-	if err := e.Opts.Validate(); err != nil {
-		return nil, err
-	}
 	if e.Timestamp == 0 {
 		e.Timestamp = e.B.QueryTimestamp()
 	}
 	rates := e.B.Rates()
-	accesses, cross, err := resolveAccess(e.B, stmt, e.Opts.FanoutWidth, e.Span)
+	accesses, cross, err := resolveAccess(e.B, stmt, e.Span)
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +132,7 @@ func (e *Parallel) execute(stmt *sqldb.SelectStmt) (*QueryResult, error) {
 		// parallel — and really do, through the fan-out pool).
 		task.ShippedBytes = shippedBytes
 		qr.Cost = qr.Cost.Add(rates.NetTransfer(shippedBytes * int64(len(a.loc.Peers))))
-		results, err := FanOutOrdered(e.Opts.FanoutWidth, len(a.loc.Peers), e.Opts.DispatchOrder(a.loc.Peers), func(i int) (*sqldb.Result, error) {
+		results, err := FanOutOrdered(len(a.loc.Peers), e.Opts.DispatchOrder(a.loc.Peers), func(i int) (*sqldb.Result, error) {
 			return e.B.JoinAt(a.loc.Peers[i], task)
 		})
 		if err != nil {

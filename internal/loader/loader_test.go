@@ -190,7 +190,6 @@ func TestDuplicateTuplesHandled(t *testing.T) {
 	// Snapshot differentials report the *net* effect (delete both +
 	// re-insert one diffs to a single delete); the CDC twin below
 	// checks the literal-event accounting.
-	l.SetMode(ModeSnapshot)
 	d, err := l.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -201,13 +200,15 @@ func TestDuplicateTuplesHandled(t *testing.T) {
 	if _, err := sys.Exec(`DELETE FROM vbak_orders WHERE order_id = 7`); err != nil {
 		t.Fatal(err)
 	}
-	// Re-insert just one copy: net effect is one delete.
+	// Re-insert just one copy: net effect is one delete. The feed gap
+	// sends the refresh down the snapshot path.
 	insertOrder(t, sys, "01", 7, 1.0)
+	sys.AckFeed(sys.FeedSeq())
 	d, err = l.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Deleted != 1 || d.Inserted != 0 || d.Unchanged != 1 {
+	if d.Deleted != 1 || d.Inserted != 0 || d.Unchanged != 1 || d.Outcomes[0].Mode != "snapshot" {
 		t.Fatalf("delta = %+v", d)
 	}
 }
@@ -319,13 +320,10 @@ func destOrderKeys(t *testing.T, dest *sqldb.DB) []int64 {
 // a pass that dies mid-merge (duplicate primary key after a delete
 // already applied) must roll back completely, and the retried pass
 // must succeed without duplicating inserts or hitting stale snapshot
-// row IDs — in both snapshot and CDC mode.
+// row IDs — whether the refresh tails the change feed or, after a feed
+// gap, diffs snapshots.
 func TestMidMergeFailureRollsBack(t *testing.T) {
-	for _, mode := range []Mode{ModeSnapshot, ModeAuto} {
-		name := "snapshot"
-		if mode == ModeAuto {
-			name = "cdc"
-		}
+	for _, name := range []string{"snapshot", "cdc"} {
 		t.Run(name, func(t *testing.T) {
 			sys, mapping, dest, global := uniqueSetup(t)
 			insertOrder(t, sys, "01", 1, 10)
@@ -334,9 +332,16 @@ func TestMidMergeFailureRollsBack(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			l.SetMode(mode)
 			if _, err := l.Run(); err != nil {
 				t.Fatal(err)
+			}
+			// refresh runs one pass; the snapshot variant first truncates
+			// the feed past the loader's mark, as retention would.
+			refresh := func() (Delta, error) {
+				if name == "snapshot" {
+					sys.AckFeed(sys.FeedSeq())
+				}
+				return l.Run()
 			}
 
 			// Business activity whose merge fails half-way: row 1 is
@@ -349,7 +354,7 @@ func TestMidMergeFailureRollsBack(t *testing.T) {
 			insertOrder(t, sys, "01", 3, 30)
 			insertOrder(t, sys, "01", 3, 31)
 
-			d, err := l.Run()
+			d, err := refresh()
 			if err == nil {
 				t.Fatalf("conflicting pass succeeded: %+v", d)
 			}
@@ -363,9 +368,12 @@ func TestMidMergeFailureRollsBack(t *testing.T) {
 			if _, err := sys.Exec(`DELETE FROM vbak_orders WHERE net_value = 31.0`); err != nil {
 				t.Fatal(err)
 			}
-			d, err = l.Run()
+			d, err = refresh()
 			if err != nil {
 				t.Fatalf("retry after rollback: %v (delta %+v)", err, d)
+			}
+			if name == "snapshot" && d.Outcomes[0].Mode != "snapshot" {
+				t.Fatalf("retry outcome = %+v, want a snapshot pass", d.Outcomes[0])
 			}
 			if got := destOrderKeys(t, dest); len(got) != 2 || got[0] != 2 || got[1] != 3 {
 				t.Fatalf("retry converged wrong: dest keys = %v", got)
@@ -456,8 +464,8 @@ func TestCDCFeedGapFallsBackToSnapshot(t *testing.T) {
 }
 
 // TestCDCEquivalentToSnapshot churns one system and loads it through
-// two loaders — one forced to snapshots, one on the feed — asserting
-// identical query results every round.
+// two loaders — one on the feed, one sent down the snapshot path by a
+// feed gap every round — asserting identical query results every round.
 func TestCDCEquivalentToSnapshot(t *testing.T) {
 	sys, mapping, destSnap, global := testSetup(t)
 	destCDC := sqldb.NewDB()
@@ -465,7 +473,6 @@ func TestCDCEquivalentToSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls.SetMode(ModeSnapshot)
 	lc, err := New(sys, mapping, destCDC, global)
 	if err != nil {
 		t.Fatal(err)
@@ -484,11 +491,20 @@ func TestCDCEquivalentToSnapshot(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := ls.Run(); err != nil {
+		// The CDC loader consumes the feed up to its head; acking the head
+		// leaves it caught up but puts the snapshot loader's mark behind
+		// the retained tail.
+		dc, err := lc.Run()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := lc.Run(); err != nil {
+		sys.AckFeed(sys.FeedSeq())
+		ds, err := ls.Run()
+		if err != nil {
 			t.Fatal(err)
+		}
+		if round > 0 && (dc.Outcomes[0].Mode != "cdc" || ds.Outcomes[0].Mode != "snapshot") {
+			t.Fatalf("round %d: cdc loader ran %q, snapshot loader ran %q", round, dc.Outcomes[0].Mode, ds.Outcomes[0].Mode)
 		}
 		q := `SELECT o_orderkey, o_totalprice, o_orderstatus FROM orders ORDER BY o_orderkey, o_totalprice`
 		a, err := destSnap.Query(q)

@@ -6,7 +6,6 @@ import (
 	"bestpeer/internal/baton"
 	"bestpeer/internal/sqldb"
 	"bestpeer/internal/sqlval"
-	"bestpeer/internal/telemetry"
 )
 
 // Heat attribution: map a statement's literal predicates on the
@@ -192,11 +191,9 @@ func (p *Peer) stmtKeyRange(stmt *sqldb.SelectStmt) (tables []string, lo, hi flo
 // recordStmtHeat feeds one served statement's key range into the peer's
 // heatmap. Only the data owner calls it (handleSubQuery/handleJoinTask
 // side), never the coordinator — each access heats the cluster once no
-// matter how many peers the round fanned out to. The HeatEnabled gate
-// sits in front of the interval extraction, so the kill switch prices
-// the whole heat plane, not just the atomic adds.
+// matter how many peers the round fanned out to.
 func (p *Peer) recordStmtHeat(stmt *sqldb.SelectStmt) {
-	if p.pm == nil || p.pm.keyHeat == nil || !telemetry.HeatEnabled() {
+	if p.pm == nil || p.pm.keyHeat == nil {
 		return
 	}
 	if lo, hi, ok := p.stmtHeatRange(stmt); ok {

@@ -188,27 +188,6 @@ func TestReporterShipsAccessAndHeat(t *testing.T) {
 	}
 }
 
-func TestRecordStmtHeatRespectsKillSwitch(t *testing.T) {
-	env := testEnv(t)
-	peers := joinLoaded(t, env, 1, 0.002)
-	shipdateDomain(env)
-	p := peers[0]
-	stmt, err := sqldb.ParseSelect(`SELECT COUNT(*) FROM lineitem WHERE l_shipdate < DATE '1993-01-01'`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	telemetry.SetHeatEnabled(false)
-	p.recordStmtHeat(stmt)
-	telemetry.SetHeatEnabled(true)
-	if n := p.pm.keyHeat.Count(); n != 0 {
-		t.Errorf("heat recorded with kill switch off: %d", n)
-	}
-	p.recordStmtHeat(stmt)
-	if n := p.pm.keyHeat.Count(); n == 0 {
-		t.Error("no heat recorded with kill switch on")
-	}
-}
-
 func BenchmarkRecordStmtHeat(b *testing.B) {
 	net := pnet.NewNetwork()
 	bs, err := bootstrap.New(net, "bootstrap", cloud.NewSimProvider())

@@ -196,7 +196,7 @@ func (p *Peer) probeParticipants(table string) (indexer.Location, error) {
 	// leave last (the advisory), which never changes the outcome: every
 	// probe still runs and slots stay in index order.
 	order := engine.Options{HotPeers: p.HotPeers()}.DispatchOrder(ids)
-	probes, _ := engine.FanOutOrdered(0, len(ids), order, func(i int) (probe, error) {
+	probes, _ := engine.FanOutOrdered(len(ids), order, func(i int) (probe, error) {
 		reply, err := p.ep.Call(ids[i], MsgHasTable, table, int64(len(table)))
 		if err != nil {
 			return probe{err: err}, nil

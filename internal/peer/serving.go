@@ -22,15 +22,12 @@ func (b servingBackend) ServeQuery(sql, user, strategy string) (serving.Executed
 
 // StartServing attaches a serving tier to this peer's endpoint: the
 // session verbs route through the admission queue and result cache into
-// Query. Unset config fields default; in particular the version source
-// defaults to this peer's own database (fine for single-peer data
-// scopes — a multi-peer network passes a cluster-wide source so remote
-// DML invalidates too) and the telemetry registry to this peer's, so
-// shedding reaches the collector.
+// Query. Unset config fields default; the telemetry registry defaults
+// to this peer's, so shedding reaches the collector. The version source
+// does not: queries fan out, so only the caller can supply one that
+// sees remote DML (Network.EnableServing passes the cluster-wide one),
+// and without it the result cache is off.
 func (p *Peer) StartServing(cfg serving.Config) *serving.Server {
-	if cfg.Versions == nil {
-		cfg.Versions = p.db.Versions
-	}
 	if cfg.Registry == nil {
 		cfg.Registry = p.Metrics()
 	}

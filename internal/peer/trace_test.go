@@ -112,22 +112,3 @@ func TestQueryTraceParallelStrategy(t *testing.T) {
 		t.Error("no pnet per-destination counters recorded for data peers")
 	}
 }
-
-// TestQueryUntracedWhenDisabled pins the kill switch: with telemetry
-// off, queries run with no trace and no span overhead.
-func TestQueryUntracedWhenDisabled(t *testing.T) {
-	telemetry.SetEnabled(false)
-	defer telemetry.SetEnabled(true)
-	env := testEnv(t)
-	peers := joinLoaded(t, env, 2, 0.002)
-	res, err := peers[0].Query(`SELECT COUNT(*) FROM orders`, "", StrategyBasic, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Trace != nil {
-		t.Error("disabled telemetry still produced a trace")
-	}
-	if FormatQueryTrace(res) != "" {
-		t.Error("untraced result rendered non-empty trace")
-	}
-}

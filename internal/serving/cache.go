@@ -18,13 +18,11 @@ import (
 // an invalidation. Bounded by entry count (LRU) and per-result bytes
 // (oversized results are never cached).
 //
-// Two stamping schemes exist. The precise one (Config.TableVersions)
-// records a per-table data-version vector covering exactly the tables
-// the statement reads: DML against any other table leaves the entry
-// servable, so a busy ingest pipeline on one table no longer storms the
-// whole cache. The legacy one (Config.Versions) stamps the cluster-wide
-// (schema, data) sums, under which any DML anywhere invalidates
-// everything.
+// The stamp (Config.TableVersions) is the schema version plus a
+// per-table data-version vector covering exactly the tables the
+// statement reads: DML against any other table leaves the entry
+// servable, so a busy ingest pipeline on one table does not storm the
+// whole cache.
 //
 // Cached *sqldb.Result values are shared by reference with every hit;
 // results are treated as immutable once executed, the same contract the
@@ -37,10 +35,8 @@ type cacheEntry struct {
 	engine  string
 	vtime   time.Duration
 	schemaV uint64
-	dataV   uint64 // cluster data-version sum (legacy stamping)
-	// dataVec, when non-nil, is the per-table data-version vector for
-	// the tables the statement reads (sorted table order); it replaces
-	// dataV in freshness checks.
+	// dataVec is the per-table data-version vector for the tables the
+	// statement reads (sorted table order).
 	dataVec []uint64
 	bytes   int64
 }
@@ -79,10 +75,10 @@ func newResultCache(capacity int, maxBytes int64, m *metrics) *resultCache {
 }
 
 // lookup returns the fresh entry cached under key, or nil. An entry
-// whose version pair no longer matches is removed and counted as an
+// whose stamp no longer matches is removed and counted as an
 // invalidation — the lazy half of invalidation; the eager half is
 // InvalidateAll on failover.
-func (c *resultCache) lookup(key string, schemaV, dataV uint64, dataVec []uint64) *cacheEntry {
+func (c *resultCache) lookup(key string, schemaV uint64, dataVec []uint64) *cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
@@ -90,15 +86,7 @@ func (c *resultCache) lookup(key string, schemaV, dataV uint64, dataVec []uint64
 		return nil
 	}
 	e := el.Value.(*cacheEntry)
-	fresh := e.schemaV == schemaV
-	if fresh {
-		if e.dataVec != nil || dataVec != nil {
-			fresh = vecEqual(e.dataVec, dataVec)
-		} else {
-			fresh = e.dataV == dataV
-		}
-	}
-	if !fresh {
+	if e.schemaV != schemaV || !vecEqual(e.dataVec, dataVec) {
 		c.removeLocked(el, e)
 		c.m.cacheInvalidations.Inc()
 		return nil

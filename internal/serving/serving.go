@@ -16,12 +16,12 @@
 //     queuing toward a timeout (batch sheds at half the interactive
 //     budget).
 //   - A versioned result cache keyed by the session user plus the
-//     normalized statement text, stamped with the database's monotonic
-//     (schema, data) version pair, so a cached result is never served
-//     across a DDL or DML bump — and never across accounts, because
-//     data owners apply per-role access checks and row masking, making
-//     results user-dependent. Per-query CacheMode selects
-//     use/refresh/bypass.
+//     normalized statement text, stamped with the schema version and the
+//     data versions of exactly the tables the statement reads, so a
+//     cached result is never served across a DDL bump or DML on those
+//     tables — and never across accounts, because data owners apply
+//     per-role access checks and row masking, making results
+//     user-dependent. Per-query CacheMode selects use/refresh/bypass.
 //
 // The tier is attached per peer (peer.StartServing / Network
 // .EnableServing); with it unattached, nothing changes anywhere.
@@ -78,17 +78,10 @@ type Config struct {
 	CacheEntries int
 	// CacheMaxResultBytes bounds one cached result (default 1 MiB).
 	CacheMaxResultBytes int64
-	// DisableCache turns the result cache off entirely.
-	DisableCache bool
-	// Versions supplies the cluster-wide (schema, data) version pair
-	// results are cached under when TableVersions is unset. Coarse: any
-	// DML anywhere bumps the data sum and invalidates every entry.
-	Versions func() (schema, data uint64)
 	// TableVersions supplies the schema version plus a per-table
 	// data-version vector for exactly the (sorted) tables a statement
-	// reads. When set it takes precedence over Versions and scopes
-	// invalidation: DML against unrelated tables keeps entries servable.
-	// Caching requires one of the two; both nil disables the cache.
+	// reads, which scopes invalidation: DML against unrelated tables
+	// keeps entries servable. Nil disables the result cache.
 	TableVersions func(tables []string) (schema uint64, data []uint64)
 	// Registry, when set, receives the peer-scoped serving series
 	// (peer_serving_*) the telemetry reporter ships to the bootstrap
@@ -131,9 +124,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheMaxResultBytes <= 0 {
 		c.CacheMaxResultBytes = 1 << 20
-	}
-	if c.Versions == nil && c.TableVersions == nil {
-		c.DisableCache = true
 	}
 	return c
 }
@@ -270,7 +260,7 @@ func New(id string, backend Backend, cfg Config) *Server {
 		m:        m,
 		sessions: make(map[string]*session),
 	}
-	if !cfg.DisableCache {
+	if cfg.TableVersions != nil {
 		s.cache = newResultCache(cfg.CacheEntries, cfg.CacheMaxResultBytes, m)
 	}
 	return s
@@ -303,24 +293,13 @@ func (s *Server) Sessions() int {
 	return len(s.sessions)
 }
 
-// versions reads the configured version source.
-func (s *Server) versions() (uint64, uint64) {
-	if s.cfg.Versions == nil {
-		return 0, 0
+// stamp captures the freshness stamp for a statement reading the given
+// tables (zero when the cache is off).
+func (s *Server) stamp(tables []string) (schemaV uint64, dataVec []uint64) {
+	if s.cache == nil {
+		return 0, nil
 	}
-	return s.cfg.Versions()
-}
-
-// stampFor captures the freshness stamp for a statement reading the
-// given tables: a per-table vector when TableVersions is configured,
-// the cluster-wide sums otherwise (vec nil).
-func (s *Server) stampFor(tables []string) (schemaV, dataV uint64, vec []uint64) {
-	if s.cfg.TableVersions != nil {
-		schemaV, vec = s.cfg.TableVersions(tables)
-		return schemaV, 0, vec
-	}
-	schemaV, dataV = s.versions()
-	return schemaV, dataV, nil
+	return s.cfg.TableVersions(tables)
 }
 
 func (s *Server) handleOpen(msg pnet.Message) (pnet.Message, error) {
@@ -397,8 +376,8 @@ func (s *Server) handleQuery(msg pnet.Message) (pnet.Message, error) {
 	case !cacheable || req.Cache == CacheBypass:
 		s.m.cacheBypass.Inc()
 	case req.Cache == CacheUse:
-		schemaV, dataV, dataVec := s.stampFor(tables)
-		if e := s.cache.lookup(key, schemaV, dataV, dataVec); e != nil {
+		schemaV, dataVec := s.stamp(tables)
+		if e := s.cache.lookup(key, schemaV, dataVec); e != nil {
 			s.m.cacheHits.Inc()
 			rep := QueryReply{Result: e.res, Engine: e.engine, VTime: e.vtime, CacheHit: true}
 			return pnet.Message{Payload: rep, Size: e.bytes}, nil
@@ -420,7 +399,7 @@ func (s *Server) handleQuery(msg pnet.Message) (pnet.Message, error) {
 	// Version capture precedes execution: a mutation racing the query
 	// lands the entry under a version the next lookup rejects — the
 	// conservative side.
-	schemaV, dataV, dataVec := s.stampFor(tables)
+	schemaV, dataVec := s.stamp(tables)
 	ex, err := s.be.ServeQuery(req.SQL, sess.user, sess.strategy)
 	if err != nil {
 		return pnet.Message{}, err
@@ -429,7 +408,7 @@ func (s *Server) handleQuery(msg pnet.Message) (pnet.Message, error) {
 	if cacheable && req.Cache != CacheBypass {
 		s.cache.store(&cacheEntry{
 			key: key, res: ex.Result, engine: ex.Engine, vtime: ex.VTime,
-			schemaV: schemaV, dataV: dataV, dataVec: dataVec, bytes: bytes,
+			schemaV: schemaV, dataVec: dataVec, bytes: bytes,
 		})
 	}
 	rep := QueryReply{Result: ex.Result, Engine: ex.Engine, VTime: ex.VTime, QueueWait: wait}

@@ -34,31 +34,6 @@ func (b *stubBackend) ServeQuery(sql, user, strategy string) (Executed, error) {
 	return Executed{Result: res, Engine: "stub", VTime: time.Millisecond}, nil
 }
 
-// versionSource is a mutable version pair for cache tests.
-type versionSource struct {
-	mu      sync.Mutex
-	schemaV uint64
-	dataV   uint64
-}
-
-func (v *versionSource) get() (uint64, uint64) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.schemaV, v.dataV
-}
-
-func (v *versionSource) bumpData() {
-	v.mu.Lock()
-	v.dataV++
-	v.mu.Unlock()
-}
-
-func (v *versionSource) bumpSchema() {
-	v.mu.Lock()
-	v.schemaV++
-	v.mu.Unlock()
-}
-
 // attach wires a Server over a fresh in-process network and returns a
 // client-side endpoint facing it.
 func attach(t *testing.T, be Backend, cfg Config) (*Server, *pnet.Endpoint) {
@@ -266,9 +241,9 @@ func TestChaosServingShedsUnderSlowBackend(t *testing.T) {
 // sessions across both classes opening, querying with mixed cache
 // modes, and closing concurrently while versions bump underneath.
 func TestConcurrentSessions(t *testing.T) {
-	vs := &versionSource{}
+	vs := &tableVersionSource{}
 	be := &stubBackend{}
-	_, ep := attach(t, be, Config{Workers: 4, Versions: vs.get, CacheEntries: 16})
+	_, ep := attach(t, be, Config{Workers: 4, TableVersions: vs.get, CacheEntries: 16})
 
 	const clients = 32
 	var wg sync.WaitGroup
@@ -292,7 +267,7 @@ func TestConcurrentSessions(t *testing.T) {
 					failures.Add(1)
 				}
 				if i%7 == 0 {
-					vs.bumpData()
+					vs.bump(fmt.Sprintf("t%d", c%8))
 				}
 			}
 			if _, err := cl.Close(); err != nil {
@@ -310,9 +285,9 @@ func TestConcurrentSessions(t *testing.T) {
 // across a schema or data version bump, and that the cache modes do
 // what they say.
 func TestResultCacheVersioning(t *testing.T) {
-	vs := &versionSource{}
+	vs := &tableVersionSource{}
 	be := &stubBackend{}
-	srv, ep := attach(t, be, Config{Versions: vs.get})
+	srv, ep := attach(t, be, Config{TableVersions: vs.get})
 	cl := NewClient(ep, "server")
 	if err := cl.Open("", "", ""); err != nil {
 		t.Fatalf("open: %v", err)
@@ -342,7 +317,7 @@ func TestResultCacheVersioning(t *testing.T) {
 	}
 
 	// DML bump: the stale entry must not be served.
-	vs.bumpData()
+	vs.bump("t")
 	if out := mustQuery(CacheUse); out.CacheHit {
 		t.Fatal("cache hit across a data version bump")
 	}
@@ -402,9 +377,9 @@ func (b *userBackend) ServeQuery(sql, user, strategy string) (Executed, error) {
 // result to another: data owners mask rows per role, so a cross-user
 // hit would be an access-control bypass.
 func TestResultCacheUserScoped(t *testing.T) {
-	vs := &versionSource{}
+	vs := &tableVersionSource{}
 	be := &userBackend{}
-	_, ep := attach(t, be, Config{Versions: vs.get})
+	_, ep := attach(t, be, Config{TableVersions: vs.get})
 
 	open := func(user string) *Client {
 		t.Helper()
@@ -544,8 +519,8 @@ func TestStrideActivationAvoidsBurst(t *testing.T) {
 // TestResultCacheLRUBound fills the cache past capacity and checks the
 // LRU eviction and the entry gauge.
 func TestResultCacheLRUBound(t *testing.T) {
-	vs := &versionSource{}
-	srv, ep := attach(t, &stubBackend{}, Config{Versions: vs.get, CacheEntries: 4})
+	vs := &tableVersionSource{}
+	srv, ep := attach(t, &stubBackend{}, Config{TableVersions: vs.get, CacheEntries: 4})
 	cl := NewClient(ep, "server")
 	if err := cl.Open("", "", ""); err != nil {
 		t.Fatalf("open: %v", err)
@@ -674,6 +649,12 @@ func (v *tableVersionSource) bump(table string) {
 	v.mu.Unlock()
 }
 
+func (v *tableVersionSource) bumpSchema() {
+	v.mu.Lock()
+	v.schemaV++
+	v.mu.Unlock()
+}
+
 // TestResultCachePreciseInvalidation proves entries are stamped with
 // the version vector of the tables they read: DML against an unrelated
 // table keeps the hit, DML against a read table drops it.
@@ -733,9 +714,7 @@ func TestResultCachePreciseInvalidation(t *testing.T) {
 
 	// Schema bumps still invalidate everything they cover.
 	mustQuery(qItems)
-	vs.mu.Lock()
-	vs.schemaV++
-	vs.mu.Unlock()
+	vs.bumpSchema()
 	if out := mustQuery(qItems); out.CacheHit {
 		t.Fatal("entry survived a schema bump")
 	}

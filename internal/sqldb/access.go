@@ -4,8 +4,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"bestpeer/internal/telemetry"
 )
 
 // Bounded per-table access accounting — the storage tier's contribution
@@ -33,7 +31,7 @@ type TableAccess struct {
 
 // record counts one access through the chosen path.
 func (t *TableAccess) record(index bool) {
-	if t == nil || !telemetry.IsEnabled() {
+	if t == nil {
 		return
 	}
 	if index {

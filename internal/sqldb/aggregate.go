@@ -55,22 +55,6 @@ func (a *aggState) add(v sqlval.Value) {
 	}
 }
 
-// merge folds another partial state into a; the engines use it to
-// combine per-peer partial aggregates at the query submitting peer.
-func (a *aggState) merge(o *aggState) {
-	a.count += o.count
-	a.sum += o.sum
-	a.sumI += o.sumI
-	a.isInt = a.isInt && o.isInt
-	a.seen = a.seen || o.seen
-	if !o.min.IsNull() && (a.min.IsNull() || sqlval.Less(o.min, a.min)) {
-		a.min = o.min
-	}
-	if !o.max.IsNull() && (a.max.IsNull() || sqlval.Less(a.max, o.max)) {
-		a.max = o.max
-	}
-}
-
 func (a *aggState) result() sqlval.Value {
 	switch a.fn {
 	case "COUNT":

@@ -431,13 +431,3 @@ func (db *DB) joinOrder(tables []*Table, refs []TableRef, schemas []*Schema, per
 	}
 	return order
 }
-
-// identityOrder reports whether the permutation is 0,1,2,...
-func identityOrder(order []int) bool {
-	for i, v := range order {
-		if i != v {
-			return false
-		}
-	}
-	return true
-}

@@ -14,23 +14,6 @@ import (
 // deltas and merges losslessly (bucket-wise addition over identical
 // layouts), so per-peer heat vectors ride the existing telemetry report
 // path and sum at the collector.
-//
-// Heat recording has its own kill switch (SetHeatEnabled) underneath
-// the process-wide one, so `bpbench -fig hotspot` can price the heat
-// plane alone on an otherwise fully instrumented run.
-
-// heatEnabled gates heat recording (on by default). Both this and the
-// process-wide switch must be on for Record to count.
-var heatEnabled atomic.Bool
-
-func init() { heatEnabled.Store(true) }
-
-// SetHeatEnabled flips heat-plane recording only; the rest of the
-// telemetry substrate is unaffected.
-func SetHeatEnabled(on bool) { heatEnabled.Store(on) }
-
-// HeatEnabled reports whether heat recording is on.
-func HeatEnabled() bool { return heatEnabled.Load() }
 
 // DefaultHeatBuckets is the standard key-space resolution. 64 buckets
 // over [0,1) resolve a hot range to ~1.6% of the key space while one
@@ -74,7 +57,7 @@ func (h *Heatmap) bucketOf(key float64) int {
 
 // Record counts one access at key.
 func (h *Heatmap) Record(key float64) {
-	if h == nil || !enabled.Load() || !heatEnabled.Load() {
+	if h == nil {
 		return
 	}
 	h.buckets[h.bucketOf(key)].Add(1)
@@ -87,7 +70,7 @@ func (h *Heatmap) Record(key float64) {
 // flat while narrow repeated windows concentrate, which is exactly the
 // contrast the skew score keys on.
 func (h *Heatmap) RecordRange(lo, hi float64) {
-	if h == nil || !enabled.Load() || !heatEnabled.Load() {
+	if h == nil {
 		return
 	}
 	i := h.bucketOf(lo)

@@ -77,7 +77,7 @@ func (h *Histogram) Observe(v float64) {
 // recent slow trace: reading the highest populated exemplar answers
 // "show me a query that actually paid that p99".
 func (h *Histogram) ObserveExemplar(v float64, traceID uint64) {
-	if h == nil || !enabled.Load() {
+	if h == nil {
 		return
 	}
 	i := 0

@@ -23,21 +23,6 @@ import (
 	"sync/atomic"
 )
 
-// enabled is the process-wide kill switch. Instrumented layers keep
-// their handles either way; a disabled registry turns every record
-// operation into one atomic load. The overhead benchmark
-// (bpbench -fig telemetry) measures the fig-6 workload against this
-// switch to prove the instrumented run stays within budget.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// SetEnabled flips the process-wide recording switch.
-func SetEnabled(on bool) { enabled.Store(on) }
-
-// IsEnabled reports whether recording is on.
-func IsEnabled() bool { return enabled.Load() }
-
 // Label is one name dimension of a metric ("peer" -> "peer-03").
 type Label struct {
 	Key   string
@@ -57,7 +42,7 @@ func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n (negative deltas are dropped: counters only go up).
 func (c *Counter) Add(n int64) {
-	if c == nil || n <= 0 || !enabled.Load() {
+	if c == nil || n <= 0 {
 		return
 	}
 	c.v.Add(n)
@@ -78,7 +63,7 @@ type Gauge struct {
 
 // Set stores the value.
 func (g *Gauge) Set(n int64) {
-	if g == nil || !enabled.Load() {
+	if g == nil {
 		return
 	}
 	g.v.Store(n)
@@ -86,7 +71,7 @@ func (g *Gauge) Set(n int64) {
 
 // Add applies a delta.
 func (g *Gauge) Add(n int64) {
-	if g == nil || !enabled.Load() {
+	if g == nil {
 		return
 	}
 	g.v.Add(n)

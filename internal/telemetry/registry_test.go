@@ -158,26 +158,6 @@ func TestLabelEscaping(t *testing.T) {
 	}
 }
 
-func TestDisabledRecordsNothing(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("off_total")
-	h := r.Histogram("off_seconds", nil)
-	SetEnabled(false)
-	c.Inc()
-	h.Observe(1)
-	if sp := StartTrace("off"); sp != nil {
-		t.Errorf("StartTrace while disabled should return nil")
-	}
-	SetEnabled(true)
-	if c.Value() != 0 || h.Count() != 0 {
-		t.Errorf("disabled registry recorded: ctr=%d hist=%d", c.Value(), h.Count())
-	}
-	c.Inc()
-	if c.Value() != 1 {
-		t.Errorf("re-enabled counter = %d, want 1", c.Value())
-	}
-}
-
 func TestNilHandlesAreSafe(t *testing.T) {
 	var c *Counter
 	var g *Gauge

@@ -79,7 +79,7 @@ func TestServingEndToEndCacheInvalidation(t *testing.T) {
 		t.Fatalf("count %d not reduced by remote delete (was %d)", got, before)
 	}
 
-	// The fresh result re-caches under the new version pair.
+	// The fresh result re-caches under the new version stamp.
 	again, err := cl.Query(sql, serving.CacheUse)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestServingEndToEndCacheInvalidation(t *testing.T) {
 
 // TestServingSurvivesFailoverUnderLoad races cacheable serving traffic
 // against topology mutations: every CacheUse lookup reads
-// ClusterVersions from a handler goroutine while a peer crashes, the
+// ClusterTableVersions from a handler goroutine while a peer crashes, the
 // maintenance daemon replaces it (rewriting the peer slice and serving
 // tier map), and a late peer joins. Run under -race this pins the
 // snapshot discipline on Network's peer topology; mid-crash query
