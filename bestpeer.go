@@ -307,56 +307,14 @@ func (n *Network) ClusterTableVersions(tables []string) (schema uint64, data []u
 	return schema, data
 }
 
-// EnableHeatMitigation closes the heat loop: the bootstrap's Algorithm 1
-// daemon gains a rebalance action that, on a sustained index-serving
-// hotspot, replicates the hot key range from its overlay owner onto k
-// neighbouring peers and broadcasts a heat advisory so query fan-out
-// dispatches to the saturated owner last. The overlay coordinator also
-// starts weighting its balance passes by the collector's per-peer index
-// heat instead of raw item counts. Everything tears down again when the
-// heat subsides. Without this call nothing in the query or maintenance
-// path changes — detection stays detection.
-func (n *Network) EnableHeatMitigation(k int) {
-	if k < 1 {
-		k = 2
-	}
-	n.Overlay.SetHeatSource(n.Bootstrap.Collector().PeerIndexHeat)
-	n.Bootstrap.SetRebalanceHandler(&heatResponder{n: n, k: k})
-}
-
 // SetLocatorCache flips every current peer's index-entry cache. The
-// flash-crowd tests disable it so each query's index lookups hit the
-// overlay (the funnel mitigation relieves); production leaves it on.
+// rebalance chaos test disables it so each query's index lookups walk
+// the overlay its balancing passes are mutating; production leaves it
+// on.
 func (n *Network) SetLocatorCache(enabled bool) {
 	for _, p := range n.Peers() {
 		p.Locator().SetCache(enabled)
 	}
-}
-
-// heatResponder implements bootstrap.RebalanceHandler over the overlay
-// coordinator's hot-range replication.
-type heatResponder struct {
-	n *Network
-	k int
-}
-
-// Rebalance replicates the hot range onto k neighbours. Re-invoked
-// every epoch the range stays hot; the re-push revalidates holders.
-func (h *heatResponder) Rebalance(r bootstrap.HotRange) (string, error) {
-	owners, installed, err := h.n.Overlay.ReplicateRange(
-		baton.KeyRange{Lo: baton.Key(r.Lo), Hi: baton.Key(r.Hi)}, h.k)
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("replicated %d owner range(s) onto %d holder(s)", owners, installed), nil
-}
-
-// Release tears every hot-range replica down.
-func (h *heatResponder) Release() (string, error) {
-	if err := h.n.Overlay.ClearReplicas(); err != nil {
-		return "", err
-	}
-	return "replicas dropped", nil
 }
 
 // CrashPeer injects a crash: the cloud instance stops responding and

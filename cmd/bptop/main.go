@@ -3,21 +3,21 @@
 // loads TPC-H, drives a background query workload, and redraws the
 // bootstrap collector's per-peer health table every refresh — health
 // score, QPS, p99 query latency, error and RPC-failure rates, rows
-// scanned, shuffle volume, fan-out queue wait, and last-report age.
+// scanned, shuffle volume, fan-out queue wait, serving shed rate,
+// key-space heat skew, and last-report age.
 //
 // Usage:
 //
 //	bptop [-peers 8] [-sf 0.01] [-report 200ms] [-refresh 500ms]
-//	      [-frames 0] [-crash 0] [-mitigate] [-prom]
+//	      [-frames 0] [-crash 0] [-prom]
 //
 // With -crash D, one peer is crashed after D so the dashboard shows the
 // monitoring plane reacting live: the victim's last-report age grows,
 // other peers' sender-side RPC failures drag its health score down, and
 // the next maintenance epoch fails it over (the event line names the
-// signal that fired). With -mitigate, the maintenance daemon answers
-// index-heat hotspots by replicating the hot range onto adjacent peers:
-// the REPL% column fills in as lookups spread over the holders and a
-// rebalance event row names the range. -frames N renders N frames and
+// signal that fired). The HEAT column and the key-heat bar show where
+// the workload's accesses concentrate; a hotspot event row names a range
+// once its skew crosses the threshold. -frames N renders N frames and
 // exits, making the dashboard scriptable; -prom dumps the merged
 // cluster-wide Prometheus-style exposition on exit.
 package main
@@ -46,7 +46,6 @@ func main() {
 	refresh := flag.Duration("refresh", 500*time.Millisecond, "dashboard refresh interval")
 	frames := flag.Int("frames", 0, "render this many frames then exit (0 = until interrupted)")
 	crash := flag.Duration("crash", 0, "crash one peer after this long (0 = never)")
-	mitigate := flag.Bool("mitigate", false, "replicate hot index ranges onto 2 adjacent peers when detected")
 	prom := flag.Bool("prom", false, "print the merged cluster exposition on exit")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and /metrics on this address")
 	flag.Parse()
@@ -84,9 +83,6 @@ func main() {
 	net.Bootstrap.DefineStatsDomain(tpch.LineItem, bootstrap.StatsDomainRecord{
 		Columns: []string{"l_shipdate"}, Lo: []float64{shipLo}, Hi: []float64{shipHi},
 	})
-	if *mitigate {
-		net.EnableHeatMitigation(2)
-	}
 
 	stopReporters := net.StartTelemetryReporters(*report)
 	defer stopReporters()

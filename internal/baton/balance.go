@@ -3,8 +3,6 @@ package baton
 import (
 	"fmt"
 	"sort"
-
-	"bestpeer/internal/telemetry"
 )
 
 // Load balancing (paper §4.3): BATON first balances load between
@@ -12,22 +10,12 @@ import (
 // adjacent node can absorb the load, it performs a global adjustment by
 // relocating an under-loaded leaf into the overloaded region. Both
 // schemes are implemented here on the coordinator, which in BestPeer++
-// is the bootstrap peer's role.
-//
-// Load is item cardinality by default (the paper's formulation). When a
-// heat source is wired (SetHeatSource), load becomes measured access
-// heat over each node's subdomain and boundaries split by cumulative
-// heat instead of item counts — a node serving a flash crowd on three
-// items sheds range even though its cardinality is tiny.
+// is the bootstrap peer's role. Load is item cardinality, the paper's
+// formulation.
 
 // imbalanceFactor is the load ratio between neighbours above which a
 // boundary shift is triggered.
 const imbalanceFactor = 2
-
-// minBalanceHeat is the minimum total access heat (windowed samples)
-// before heat-weighted decisions are trusted; below it, or when any
-// node lacks heat evidence, balancing falls back to item counts.
-const minBalanceHeat = 64
 
 // loadOf fetches a node's item count.
 func (o *Overlay) loadOf(id string) (int, error) {
@@ -76,128 +64,19 @@ func (o *Overlay) topologyMatchesLocked(snaps []topoSnap) ([]*tnode, bool) {
 	return ord, true
 }
 
-// balanceEvidence is the per-node load evidence for one balancing pass,
-// collected via RPC with o.mu released. counts always holds item
-// cardinalities; when useHeat is set, heats holds each node's windowed
-// access-heat vector and weights derive from it instead.
-type balanceEvidence struct {
-	counts  []int
-	heats   []telemetry.HeatmapSnapshot
-	useHeat bool
-}
-
-// weight returns node i's load over range r: access heat inside r when
-// heat evidence is in play, item cardinality otherwise (counts ignore
-// r — they are whole-node, like the paper's formulation).
-func (ev *balanceEvidence) weight(i int, r KeyRange) float64 {
-	if ev.useHeat {
-		return heatMass(ev.heats[i], r)
-	}
-	return float64(ev.counts[i])
-}
-
-// collectEvidence gathers loads for every snapshotted node without
+// collectCounts gathers every snapshotted node's item count without
 // holding o.mu, so a slow peer cannot stall concurrent membership
-// operations for the whole pass. Heat evidence is used only when every
-// node supplies a compatible vector with enough total samples.
-func (o *Overlay) collectEvidence(snaps []topoSnap) (*balanceEvidence, error) {
-	o.mu.Lock()
-	heatFn := o.heatFn
-	o.mu.Unlock()
-	ev := &balanceEvidence{counts: make([]int, len(snaps))}
+// operations for the whole pass.
+func (o *Overlay) collectCounts(snaps []topoSnap) ([]int, error) {
+	counts := make([]int, len(snaps))
 	for i, s := range snaps {
 		c, err := o.loadOf(s.id)
 		if err != nil {
 			return nil, err
 		}
-		ev.counts[i] = c
+		counts[i] = c
 	}
-	if heatFn == nil {
-		return ev, nil
-	}
-	heats := make([]telemetry.HeatmapSnapshot, len(snaps))
-	buckets := -1
-	var total float64
-	for i, s := range snaps {
-		h, ok := heatFn(s.id)
-		if !ok {
-			return ev, nil
-		}
-		if buckets < 0 {
-			buckets = len(h.Buckets)
-		}
-		if buckets == 0 || len(h.Buckets) != buckets {
-			return ev, nil
-		}
-		heats[i] = h
-		total += float64(h.Count())
-	}
-	if total >= minBalanceHeat {
-		ev.heats, ev.useHeat = heats, true
-	}
-	return ev, nil
-}
-
-// heatMass sums a heat vector's samples falling inside r, pro-rating
-// buckets the range only partially covers.
-func heatMass(s telemetry.HeatmapSnapshot, r KeyRange) float64 {
-	n := len(s.Buckets)
-	var mass float64
-	for i, c := range s.Buckets {
-		if c == 0 {
-			continue
-		}
-		lo, hi := telemetry.HeatBucketRange(i, n)
-		ov, ok := intersect(KeyRange{Lo: Key(lo), Hi: Key(hi)}, r)
-		if !ok {
-			continue
-		}
-		mass += float64(c) * float64(ov.Hi-ov.Lo) / (hi - lo)
-	}
-	return mass
-}
-
-// heatSplitKey finds the key splitting the combined heat of two
-// neighbours' vectors over span into equal halves, interpolating
-// linearly inside the bucket where the half-mass point falls.
-func heatSplitKey(sa, sb telemetry.HeatmapSnapshot, span KeyRange) (Key, bool) {
-	n := len(sa.Buckets)
-	if n == 0 || len(sb.Buckets) != n {
-		return 0, false
-	}
-	type seg struct {
-		lo, hi Key
-		m      float64
-	}
-	var segs []seg
-	var total float64
-	for i := 0; i < n; i++ {
-		c := float64(sa.Buckets[i] + sb.Buckets[i])
-		if c == 0 {
-			continue
-		}
-		lo, hi := telemetry.HeatBucketRange(i, n)
-		ov, ok := intersect(KeyRange{Lo: Key(lo), Hi: Key(hi)}, span)
-		if !ok {
-			continue
-		}
-		m := c * float64(ov.Hi-ov.Lo) / (hi - lo)
-		segs = append(segs, seg{lo: ov.Lo, hi: ov.Hi, m: m})
-		total += m
-	}
-	if total <= 0 {
-		return 0, false
-	}
-	half := total / 2
-	var cum float64
-	for _, s := range segs {
-		if cum+s.m >= half {
-			frac := (half - cum) / s.m
-			return s.lo + Key(float64(s.hi-s.lo)*frac), true
-		}
-		cum += s.m
-	}
-	return 0, false
+	return counts, nil
 }
 
 // BalanceAdjacent performs one pass of adjacent-node load balancing:
@@ -212,7 +91,7 @@ func (o *Overlay) BalanceAdjacent() (int, error) {
 	if len(snaps) < 2 {
 		return 0, nil
 	}
-	ev, err := o.collectEvidence(snaps)
+	counts, err := o.collectCounts(snaps)
 	if err != nil {
 		return 0, err
 	}
@@ -224,7 +103,7 @@ func (o *Overlay) BalanceAdjacent() (int, error) {
 	}
 	shifts := 0
 	for i := 0; i+1 < len(ord); i++ {
-		moved, err := o.balancePairLocked(ord[i], ord[i+1], ev, i, i+1)
+		moved, err := o.balancePairLocked(ord[i], ord[i+1], counts, i, i+1)
 		if err != nil {
 			return shifts, err
 		}
@@ -239,31 +118,19 @@ func (o *Overlay) BalanceAdjacent() (int, error) {
 }
 
 // balancePairLocked equalizes the load between two in-order neighbours
-// by moving their common subdomain boundary. Callers hold o.mu; ia/ib
-// index the pair in the evidence.
-func (o *Overlay) balancePairLocked(a, b *tnode, ev *balanceEvidence, ia, ib int) (bool, error) {
+// by moving their common subdomain boundary to the pair's median item
+// key (the paper's cardinality split). Callers hold o.mu; ia/ib index
+// the pair in counts.
+func (o *Overlay) balancePairLocked(a, b *tnode, counts []int, ia, ib int) (bool, error) {
 	if a.r0.Hi != b.r0.Lo {
 		// Boundary is not shared (shouldn't happen with contiguous
 		// in-order ranges); skip rather than corrupt ranges.
 		return false, nil
 	}
-	wa := ev.weight(ia, a.r0)
-	wb := ev.weight(ib, b.r0)
-	if wa <= imbalanceFactor*wb+1 && wb <= imbalanceFactor*wa+1 {
+	la, lb := counts[ia], counts[ib]
+	if la <= imbalanceFactor*lb+1 && lb <= imbalanceFactor*la+1 {
 		return false, nil
 	}
-	if ev.useHeat {
-		if wa+wb < minBalanceHeat {
-			return false, nil
-		}
-		return o.shiftByHeat(a, b, ev, ia, ib)
-	}
-	return o.shiftByCount(a, b, ev, ia, ib)
-}
-
-// shiftByCount moves the shared boundary to the pair's median item key
-// (the paper's cardinality split). Callers hold o.mu.
-func (o *Overlay) shiftByCount(a, b *tnode, ev *balanceEvidence, ia, ib int) (bool, error) {
 	itemsA, err := o.fetchItems(a.id)
 	if err != nil {
 		return false, err
@@ -283,33 +150,6 @@ func (o *Overlay) shiftByCount(a, b *tnode, ev *balanceEvidence, ia, ib int) (bo
 	if boundary <= a.r0.Lo || boundary >= b.r0.Hi {
 		return false, nil
 	}
-	if moved, err := o.shiftBoundary(a, b, boundary); !moved || err != nil {
-		return false, err
-	}
-	// Keep the pass's evidence exact for the pairs still to come.
-	na := sort.Search(len(all), func(i int) bool { return all[i].Key >= boundary })
-	ev.counts[ia], ev.counts[ib] = na, len(all)-na
-	return true, nil
-}
-
-// shiftByHeat moves the shared boundary to the pair's cumulative-heat
-// midpoint: each side ends up serving half of the pair's measured
-// access load, regardless of how many items sit on either side.
-// Callers hold o.mu. The heat vectors are historical, so no evidence
-// update is needed — subsequent weights re-derive from the new ranges.
-func (o *Overlay) shiftByHeat(a, b *tnode, ev *balanceEvidence, ia, ib int) (bool, error) {
-	span := KeyRange{Lo: a.r0.Lo, Hi: b.r0.Hi}
-	boundary, ok := heatSplitKey(ev.heats[ia], ev.heats[ib], span)
-	if !ok || boundary <= a.r0.Lo || boundary >= b.r0.Hi {
-		return false, nil
-	}
-	return o.shiftBoundary(a, b, boundary)
-}
-
-// shiftBoundary moves the shared boundary of two in-order neighbours to
-// the given key, relocating the items of whichever side shrinks.
-// Callers hold o.mu.
-func (o *Overlay) shiftBoundary(a, b *tnode, boundary Key) (bool, error) {
 	switch {
 	case boundary < a.r0.Hi:
 		if err := o.moveRange(a.id, b.id, KeyRange{Lo: boundary, Hi: a.r0.Hi}); err != nil {
@@ -324,6 +164,9 @@ func (o *Overlay) shiftBoundary(a, b *tnode, boundary Key) (bool, error) {
 	}
 	a.r0.Hi = boundary
 	b.r0.Lo = boundary
+	// Keep the pass's counts exact for the pairs still to come.
+	na := sort.Search(len(all), func(i int) bool { return all[i].Key >= boundary })
+	counts[ia], counts[ib] = na, len(all)-na
 	return true, nil
 }
 
@@ -340,7 +183,7 @@ func (o *Overlay) GlobalRebalance() (bool, error) {
 	if len(snaps) < 3 {
 		return false, nil
 	}
-	ev, err := o.collectEvidence(snaps)
+	counts, err := o.collectCounts(snaps)
 	if err != nil {
 		return false, err
 	}
@@ -351,9 +194,9 @@ func (o *Overlay) GlobalRebalance() (bool, error) {
 		return false, nil
 	}
 	hotIdx, coldIdx := -1, -1
-	var hotLoad, coldLoad float64
+	var hotLoad, coldLoad int
 	for i, t := range ord {
-		w := ev.weight(i, t.r0)
+		w := counts[i]
 		if hotIdx < 0 || w > hotLoad {
 			hotIdx, hotLoad = i, w
 		}
@@ -375,9 +218,9 @@ func (o *Overlay) GlobalRebalance() (bool, error) {
 		var moved bool
 		var err error
 		if hotIdx+1 < len(ord) {
-			moved, err = o.balancePairLocked(hot, ord[hotIdx+1], ev, hotIdx, hotIdx+1)
+			moved, err = o.balancePairLocked(hot, ord[hotIdx+1], counts, hotIdx, hotIdx+1)
 		} else {
-			moved, err = o.balancePairLocked(ord[hotIdx-1], hot, ev, hotIdx-1, hotIdx)
+			moved, err = o.balancePairLocked(ord[hotIdx-1], hot, counts, hotIdx-1, hotIdx)
 		}
 		if err != nil {
 			return false, err

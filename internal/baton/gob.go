@@ -9,7 +9,6 @@ func init() {
 		rangeReq{}, replicaPut{}, NodeState{}, KeyRange{},
 		[]Item{}, Item{},
 		int(0), "", [2]string{},
-		replicateReq{}, rrepPut{}, rrepDrop{}, serveReq{}, serveResp{},
-		repAck{}, ReplicaAd{}, []ReplicaAd{}, []string{},
+		repAck{},
 	)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"bestpeer/internal/pnet"
 	"bestpeer/internal/telemetry"
@@ -69,11 +68,6 @@ type lookupReq struct {
 	Key  Key
 	Name string
 	Hops int
-	// SkipAds disables the hot-range advertisement short-circuit:
-	// set on direct-to-owner forwards and after a failed replica
-	// serve, so a fallback routes normally instead of re-trying ads
-	// at every hop.
-	SkipAds bool
 }
 
 type lookupResp struct {
@@ -126,13 +120,6 @@ type replicaPut struct {
 type Node struct {
 	ep *pnet.Endpoint
 
-	// heat is the optional per-node key-space heatmap (SetHeatmap):
-	// every query-path hop this node serves or forwards records the
-	// request's key, so the overlay's routing load is attributable to
-	// key-space ranges. The peer wires its private-registry heatmap
-	// here, shipping overlay heat in its telemetry reports.
-	heat atomic.Pointer[telemetry.Heatmap]
-
 	mu       sync.RWMutex
 	state    NodeState
 	items    []Item            // sorted by Key, then Name
@@ -148,29 +135,10 @@ type Node struct {
 	// bookkeeping behind the delta/full decision (guarded by pushMu).
 	pushMu sync.Mutex
 	push   pushState
-
-	// Hot-range replication state: replOut is this node's outbound
-	// replication (owner side), hosted the replicas this node serves
-	// for other owners (holder side); both guarded by mu. replVersion
-	// orders puts against invalidations.
-	replOut     *replOut
-	replVersion uint64
-	hosted      map[string]*rangeReplica
-
-	// ads is the coordinator-broadcast hot-range advertisement table;
-	// rrPick rotates lookups across owner+holders.
-	ads    atomic.Pointer[[]ReplicaAd]
-	rrPick atomic.Uint64
-
-	// Lookup serve accounting: answered from own items vs from a
-	// hosted hot-range replica.
-	servedLocal   atomic.Int64
-	servedReplica atomic.Int64
 }
 
 // processHeat aggregates overlay key traffic process-wide (the
-// /metrics view every node in the process shares), independent of any
-// per-node heatmap wired via SetHeatmap.
+// /metrics view every node in the process shares).
 var processHeat = telemetry.Default.Heatmap("baton_key_heat", telemetry.DefaultHeatBuckets)
 
 func init() {
@@ -178,34 +146,15 @@ func init() {
 		"Overlay query-path hops per key-space bucket [lo,hi) across all nodes in the process.")
 }
 
-// SetHeatmap wires a per-node heatmap that every query-path hop records
-// into (nil detaches it). Safe to call while traffic is flowing.
-func (n *Node) SetHeatmap(h *telemetry.Heatmap) { n.heat.Store(h) }
-
-// recordKey accounts one query-path hop at key k.
+// recordKey accounts one query-path hop (lookup, insert or delete) at
+// key k.
 func (n *Node) recordKey(k Key) {
-	processHeat.Record(float64(k))
-	if h := n.heat.Load(); h != nil {
-		h.Record(float64(k))
-	}
-}
-
-// recordMutation accounts one index-mutation hop at key k. Mutations
-// feed only the process-wide view: the per-node heatmap backs
-// peer_index_heat, whose hot-range detector triggers read replication,
-// and bulk index publishing (every loaded table inserts under the same
-// handful of catalog keys) would otherwise register as a phantom read
-// hotspot before a single query has run.
-func (n *Node) recordMutation(k Key) {
 	processHeat.Record(float64(k))
 }
 
 // recordRange accounts one range-search hop over r.
 func (n *Node) recordRange(r KeyRange) {
 	processHeat.RecordRange(float64(r.Lo), float64(r.Hi))
-	if h := n.heat.Load(); h != nil {
-		h.RecordRange(float64(r.Lo), float64(r.Hi))
-	}
 }
 
 // NewNode attaches a new overlay node to a pnet endpoint and registers
@@ -220,7 +169,6 @@ func NewNode(ep *pnet.Endpoint) *Node {
 		ep:         ep,
 		replicas:   make(map[string][]Item),
 		replicaSeq: make(map[string]uint64),
-		hosted:     make(map[string]*rangeReplica),
 	}
 	ep.HandleIdempotent(msgLookup, n.handleLookup)
 	ep.Handle(msgInsert, n.handleInsert)
@@ -233,20 +181,11 @@ func NewNode(ep *pnet.Endpoint) *Node {
 	ep.HandleIdempotent(msgStats, n.handleStats)
 	ep.Handle(msgReplicaPut, n.handleReplicaPut)
 	ep.HandleIdempotent(msgReplicaGet, n.handleReplicaGet)
-	// Hot-range replication: put/drop are idempotent by version, the
-	// serve path is a read, ads install is last-write-wins, and
-	// replicate/release assign a fresh version per delivery.
-	ep.HandleIdempotent(msgReplicate, n.handleReplicate)
-	ep.HandleIdempotent(msgReplicateRelease, n.handleReplicateRelease)
-	ep.HandleIdempotent(msgRangeReplicaPut, n.handleRangeReplicaPut)
-	ep.HandleIdempotent(msgRangeReplicaDrop, n.handleRangeReplicaDrop)
-	ep.HandleIdempotent(msgReplicaServe, n.handleReplicaServe)
-	ep.HandleIdempotent(msgReplicaAds, n.handleReplicaAds)
 	// The query-path verbs block only on nested calls through the same
 	// transport (routing hops), each carrying its own deadline, so they
 	// run unguarded in-process: a lookup chain must not pay one guard
 	// goroutine per hop.
-	ep.Network().MarkInline(msgLookup, msgInsert, msgDelete, msgRange, msgStats, msgItems, msgReplicaServe)
+	ep.Network().MarkInline(msgLookup, msgInsert, msgDelete, msgRange, msgStats, msgItems)
 	return n
 }
 
@@ -314,16 +253,6 @@ func (n *Node) routeNext(k Key) string {
 func (n *Node) handleLookup(msg pnet.Message) (pnet.Message, error) {
 	req := msg.Payload.(lookupReq)
 	n.recordKey(req.Key)
-	if !req.SkipAds {
-		// Hot-range short-circuit: if the key is advertised as
-		// replicated, serve it from the rotation instead of routing the
-		// whole chain onto the owner. Any miss falls through to normal
-		// routing, with ads disabled for the rest of the chain.
-		if reply, ok := n.lookupViaReplica(req); ok {
-			return reply, nil
-		}
-		req.SkipAds = true
-	}
 	n.mu.RLock()
 	next := n.routeNext(req.Key)
 	n.mu.RUnlock()
@@ -345,13 +274,12 @@ func (n *Node) handleLookup(msg pnet.Message) (pnet.Message, error) {
 		}
 	}
 	n.mu.RUnlock()
-	n.servedLocal.Add(1)
 	return pnet.Message{Payload: lookupResp{Items: out, Hops: req.Hops}, Size: size}, nil
 }
 
 func (n *Node) handleInsert(msg pnet.Message) (pnet.Message, error) {
 	req := msg.Payload.(insertReq)
-	n.recordMutation(req.Item.Key)
+	n.recordKey(req.Item.Key)
 	n.mu.RLock()
 	next := n.routeNext(req.Item.Key)
 	n.mu.RUnlock()
@@ -363,16 +291,14 @@ func (n *Node) handleInsert(msg pnet.Message) (pnet.Message, error) {
 	n.storeLocked(req.Item)
 	n.replSeq++
 	seq := n.replSeq
-	drops, dv := n.bumpHotLocked(func(r KeyRange) bool { return r.Contains(req.Item.Key) })
 	n.mu.Unlock()
-	n.sendDrops(drops, dv)
 	n.pushAdjacent(replicaPut{Op: repOpAdd, Seq: seq, Items: []Item{req.Item}})
 	return pnet.Message{Payload: opResp{Hops: req.Hops}}, nil
 }
 
 func (n *Node) handleDelete(msg pnet.Message) (pnet.Message, error) {
 	req := msg.Payload.(deleteReq)
-	n.recordMutation(req.Key)
+	n.recordKey(req.Key)
 	n.mu.RLock()
 	next := n.routeNext(req.Key)
 	n.mu.RUnlock()
@@ -391,16 +317,13 @@ func (n *Node) handleDelete(msg pnet.Message) (pnet.Message, error) {
 		kept = append(kept, it)
 	}
 	n.items = kept
-	var seq, dv uint64
-	var drops []string
+	var seq uint64
 	if deleted > 0 {
 		n.replSeq++
 		seq = n.replSeq
-		drops, dv = n.bumpHotLocked(func(r KeyRange) bool { return r.Contains(req.Key) })
 	}
 	n.mu.Unlock()
 	if deleted > 0 {
-		n.sendDrops(drops, dv)
 		n.pushAdjacent(replicaPut{Op: repOpDel, Seq: seq, Name: req.Name, ItemOwner: req.Owner})
 	}
 	return pnet.Message{Payload: opResp{Hops: req.Hops, Deleted: deleted}}, nil
@@ -452,10 +375,10 @@ func (n *Node) handleRange(msg pnet.Message) (pnet.Message, error) {
 func (n *Node) handleUpdate(msg pnet.Message) (pnet.Message, error) {
 	st := msg.Payload.(NodeState)
 	n.mu.Lock()
-	oldAdj := n.state.RightAdj
+	oldHolder := n.state.replicaHolder()
 	n.state = st
 	n.mu.Unlock()
-	if st.RightAdj != oldAdj {
+	if st.replicaHolder() != oldHolder {
 		// New replica holder: force a full resync.
 		n.pushAdjacent(replicaPut{Op: repOpFull})
 	}
@@ -477,19 +400,13 @@ func (n *Node) handleExtract(msg pnet.Message) (pnet.Message, error) {
 		}
 	}
 	n.items = kept
-	var seq, dv uint64
-	var drops []string
+	var seq uint64
 	if len(moved) > 0 {
 		n.replSeq++
 		seq = n.replSeq
-		drops, dv = n.bumpHotLocked(func(rr KeyRange) bool {
-			_, ok := intersect(rr, r)
-			return ok
-		})
 	}
 	n.mu.Unlock()
 	if len(moved) > 0 {
-		n.sendDrops(drops, dv)
 		n.pushAdjacent(replicaPut{Op: repOpCut, Seq: seq, Range: r})
 	}
 	return pnet.Message{Payload: moved, Size: size}, nil
@@ -501,23 +418,13 @@ func (n *Node) handleAccept(msg pnet.Message) (pnet.Message, error) {
 	for _, it := range items {
 		n.storeLocked(it)
 	}
-	var seq, dv uint64
-	var drops []string
+	var seq uint64
 	if len(items) > 0 {
 		n.replSeq++
 		seq = n.replSeq
-		drops, dv = n.bumpHotLocked(func(rr KeyRange) bool {
-			for _, it := range items {
-				if rr.Contains(it.Key) {
-					return true
-				}
-			}
-			return false
-		})
 	}
 	n.mu.Unlock()
 	if len(items) > 0 {
-		n.sendDrops(drops, dv)
 		n.pushAdjacent(replicaPut{Op: repOpAdd, Seq: seq, Items: items})
 	}
 	return pnet.Message{}, nil

@@ -21,13 +21,6 @@ type Overlay struct {
 	root  *tnode
 	byID  map[string]*tnode
 	nodes int
-
-	// replicaAds is the current hot-range advertisement table
-	// (ReplicateRange/ClearReplicas); heatFn, when set, supplies
-	// per-node access heat so balancing splits by load instead of
-	// item counts.
-	replicaAds []ReplicaAd
-	heatFn     HeatFunc
 }
 
 // tnode is the coordinator's record of one overlay node: tree links plus

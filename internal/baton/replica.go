@@ -1,47 +1,11 @@
 package baton
 
-import (
-	"sort"
+import "bestpeer/internal/telemetry"
 
-	"bestpeer/internal/pnet"
-	"bestpeer/internal/telemetry"
-)
-
-// Hot-range read replication: the response half of the heat plane.
-// When the bootstrap's collector names a hot key range, the overlay
-// coordinator replicates that range from its owner onto k in-order
-// neighbours and advertises the holder set to every node. Idempotent
-// lookups then rotate across owner+holders instead of funnelling onto
-// the owner. The protocol is versioned: any write into a replicated
-// range bumps the owner's version and synchronously invalidates every
-// holder before the write is acknowledged, so a holder either serves
-// the current version or refuses and the client falls back to normal
-// routing — an extra hop, never a stale answer. A holder that missed
-// an invalidation because it was unreachable can serve stale reads for
-// at most one maintenance epoch: the coordinator re-pushes (or
-// releases) replicas every epoch while the range stays hot.
-//
-// This file also owns the adjacent-replica push path (crash recovery,
-// paper [24]): mutations ship sequence-numbered deltas instead of the
-// node's entire item set, with a full resync every replicaResyncEvery
+// This file owns the adjacent-replica push path (crash recovery, paper
+// [24]): mutations ship sequence-numbered deltas instead of the node's
+// entire item set, with a full resync every replicaResyncEvery
 // mutations or whenever a delta is lost or rejected.
-
-// Hot-range replication verbs.
-const (
-	msgReplicate        = "baton.replicate"      // coordinator -> owner: replicate a range
-	msgReplicateRelease = "baton.replicate.drop" // coordinator -> owner: tear replication down
-	msgRangeReplicaPut  = "baton.rrep.put"       // owner -> holder: install a versioned range replica
-	msgRangeReplicaDrop = "baton.rrep.drop"      // owner -> holder: invalidate
-	msgReplicaServe     = "baton.rrep.serve"     // client -> holder: serve a lookup from the replica
-	msgReplicaAds       = "baton.rrep.ads"       // coordinator -> everyone: advertise holder sets
-)
-
-// Exported verb names for fault planning: benchmarks and chaos tests
-// attach per-hop delivery delays to the lookup-serving verbs.
-const (
-	LookupVerb       = msgLookup
-	ReplicaServeVerb = msgReplicaServe
-)
 
 // replicaResyncEvery bounds delta drift on the adjacent replica: after
 // this many delta pushes the next push ships the full item set again,
@@ -55,7 +19,6 @@ var (
 	repPushDelta = telemetry.Default.Counter("baton_replica_push_total", telemetry.L("kind", "delta"))
 	repPushBytes = telemetry.Default.Counter("baton_replica_push_bytes_total")
 	repPushSaved = telemetry.Default.Counter("baton_replica_push_saved_bytes_total")
-	repInvals    = telemetry.Default.Counter("baton_replica_invalidations_total")
 )
 
 func init() {
@@ -65,49 +28,6 @@ func init() {
 		"Bytes shipped to adjacent replica holders (full pushes plus deltas).")
 	telemetry.Default.SetHelp("baton_replica_push_saved_bytes_total",
 		"Bytes a delta push avoided shipping versus re-sending the full item set.")
-	telemetry.Default.SetHelp("baton_replica_invalidations_total",
-		"Hot-range replica invalidations sent to holders after writes into a replicated range.")
-}
-
-// ReplicaAd advertises one replicated range: reads on keys inside
-// Range may be served by the owner or by any holder.
-type ReplicaAd struct {
-	Range   KeyRange
-	Owner   string
-	Holders []string
-}
-
-// replicateReq asks an owner to replicate Range onto Holders.
-type replicateReq struct {
-	Range   KeyRange
-	Holders []string
-}
-
-// rrepPut installs one versioned range replica on a holder.
-type rrepPut struct {
-	Owner   string
-	Range   KeyRange
-	Version uint64
-	Items   []Item
-}
-
-// rrepDrop invalidates a holder's replica of Owner's range at Version.
-type rrepDrop struct {
-	Owner   string
-	Version uint64
-}
-
-// serveReq asks a holder to serve a lookup from its replica.
-type serveReq struct {
-	Key  Key
-	Name string
-}
-
-// serveResp is a holder's answer: Served=false means the holder has no
-// valid replica covering the key and the caller must route normally.
-type serveResp struct {
-	Items  []Item
-	Served bool
 }
 
 // repAck acknowledges an adjacent-replica push. OK=false means the
@@ -123,21 +43,6 @@ const (
 	repOpDel  = "del" // remove items matching Name (+ItemOwner when set)
 	repOpCut  = "cut" // remove items whose keys fall in Range
 )
-
-// rangeReplica is a holder's copy of one owner's replicated range.
-type rangeReplica struct {
-	rang    KeyRange
-	version uint64
-	items   []Item
-	valid   bool
-}
-
-// replOut is the owner's record of its outbound hot-range replication.
-type replOut struct {
-	rang    KeyRange
-	version uint64
-	holders []string
-}
 
 // pushState tracks what the adjacent replica holder already has.
 // Guarded by Node.pushMu.
@@ -157,242 +62,15 @@ func itemsSize(items []Item) int64 {
 	return size
 }
 
-// intersect returns the overlap of two ranges.
-func intersect(a, b KeyRange) (KeyRange, bool) {
-	lo, hi := a.Lo, a.Hi
-	if b.Lo > lo {
-		lo = b.Lo
+// replicaHolder names the node holding this node's adjacent replica:
+// the in-order successor, or the predecessor for the rightmost node —
+// the same neighbour Overlay.Recover fetches the replica from.
+func (s NodeState) replicaHolder() string {
+	if s.RightAdj != "" {
+		return s.RightAdj
 	}
-	if b.Hi < hi {
-		hi = b.Hi
-	}
-	if hi <= lo {
-		return KeyRange{}, false
-	}
-	return KeyRange{Lo: lo, Hi: hi}, true
+	return s.LeftAdj
 }
-
-// ServeCounts returns how many lookups this node answered from its own
-// items and from hosted hot-range replicas. The mitigation benchmark
-// derives the hot peer's serve share from the deltas; the peer reporter
-// ships them as peer_lookups_served_total / peer_replica_reads_total.
-func (n *Node) ServeCounts() (local, replica int64) {
-	return n.servedLocal.Load(), n.servedReplica.Load()
-}
-
-// --- owner side ---
-
-// handleReplicate snapshots the requested range and pushes a versioned
-// copy to each holder. Recording the outbound replication *before* the
-// pushes leave means any mutation racing the snapshot sees replOut and
-// sends an invalidation with a higher version, which the holders order
-// correctly against the puts.
-func (n *Node) handleReplicate(msg pnet.Message) (pnet.Message, error) {
-	req := msg.Payload.(replicateReq)
-	n.mu.Lock()
-	n.replVersion++
-	v := n.replVersion
-	var items []Item
-	for _, it := range n.items {
-		if req.Range.Contains(it.Key) {
-			items = append(items, it)
-		}
-	}
-	n.replOut = &replOut{rang: req.Range, version: v, holders: append([]string(nil), req.Holders...)}
-	id := n.state.ID
-	n.mu.Unlock()
-	put := rrepPut{Owner: id, Range: req.Range, Version: v, Items: items}
-	size := itemsSize(items) + 16
-	installed := 0
-	for _, h := range req.Holders {
-		if _, err := n.ep.Call(h, msgRangeReplicaPut, put, size); err == nil {
-			installed++
-		}
-	}
-	return pnet.Message{Payload: installed, Size: 8}, nil
-}
-
-// handleReplicateRelease tears the outbound replication down,
-// invalidating every holder.
-func (n *Node) handleReplicateRelease(msg pnet.Message) (pnet.Message, error) {
-	n.mu.Lock()
-	var holders []string
-	var v uint64
-	if n.replOut != nil {
-		n.replVersion++
-		v = n.replVersion
-		holders = n.replOut.holders
-		n.replOut = nil
-	}
-	n.mu.Unlock()
-	n.sendDrops(holders, v)
-	return pnet.Message{}, nil
-}
-
-// bumpHotLocked invalidates the outbound hot-range replica when a
-// mutation touches it. Callers hold n.mu (write); the returned drop
-// fan-out must be performed after unlocking and before the mutation is
-// acknowledged, so a client that saw the write complete can never read
-// the pre-write version from a reachable holder.
-func (n *Node) bumpHotLocked(touches func(KeyRange) bool) ([]string, uint64) {
-	if n.replOut == nil || !touches(n.replOut.rang) {
-		return nil, 0
-	}
-	n.replVersion++
-	n.replOut.version = n.replVersion
-	return append([]string(nil), n.replOut.holders...), n.replVersion
-}
-
-// sendDrops delivers invalidations to holders. Best-effort: an
-// unreachable holder cannot fail the write; it also cannot serve reads
-// while unreachable, and the coordinator's per-epoch re-push bounds how
-// long it may serve the stale version after healing.
-func (n *Node) sendDrops(holders []string, version uint64) {
-	if len(holders) == 0 {
-		return
-	}
-	d := rrepDrop{Owner: n.ID(), Version: version}
-	for _, h := range holders {
-		_, _ = n.ep.Call(h, msgRangeReplicaDrop, d, 16)
-	}
-	repInvals.Add(int64(len(holders)))
-}
-
-// --- holder side ---
-
-func (n *Node) handleRangeReplicaPut(msg pnet.Message) (pnet.Message, error) {
-	put := msg.Payload.(rrepPut)
-	n.mu.Lock()
-	cur := n.hosted[put.Owner]
-	if cur == nil || put.Version >= cur.version {
-		n.hosted[put.Owner] = &rangeReplica{
-			rang: put.Range, version: put.Version, items: put.Items, valid: true,
-		}
-	}
-	n.mu.Unlock()
-	return pnet.Message{Payload: repAck{OK: true}}, nil
-}
-
-func (n *Node) handleRangeReplicaDrop(msg pnet.Message) (pnet.Message, error) {
-	d := msg.Payload.(rrepDrop)
-	n.mu.Lock()
-	cur := n.hosted[d.Owner]
-	if cur == nil {
-		// Remember the version so a put racing this drop cannot
-		// resurrect the superseded copy.
-		n.hosted[d.Owner] = &rangeReplica{version: d.Version}
-	} else if d.Version >= cur.version {
-		cur.version = d.Version
-		cur.valid = false
-		cur.items = nil
-	}
-	n.mu.Unlock()
-	return pnet.Message{Payload: repAck{OK: true}}, nil
-}
-
-// serveHosted answers a lookup from a valid hosted replica covering the
-// key. ok=false means no such replica: the caller must route normally.
-// A valid replica with no matching items is an authoritative empty
-// answer — the replica is a complete copy of the range at its version.
-func (n *Node) serveHosted(k Key, name string) (items []Item, size int64, ok bool) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if len(n.hosted) == 0 {
-		return nil, 0, false
-	}
-	owners := make([]string, 0, len(n.hosted))
-	for o := range n.hosted {
-		owners = append(owners, o)
-	}
-	sort.Strings(owners)
-	for _, o := range owners {
-		r := n.hosted[o]
-		if !r.valid || !r.rang.Contains(k) {
-			continue
-		}
-		for _, it := range r.items {
-			if it.Name == name {
-				items = append(items, it)
-				size += it.Size
-			}
-		}
-		return items, size, true
-	}
-	return nil, 0, false
-}
-
-func (n *Node) handleReplicaServe(msg pnet.Message) (pnet.Message, error) {
-	req := msg.Payload.(serveReq)
-	items, size, ok := n.serveHosted(req.Key, req.Name)
-	if ok {
-		n.recordKey(req.Key)
-		n.servedReplica.Add(1)
-	}
-	return pnet.Message{Payload: serveResp{Items: items, Served: ok}, Size: size}, nil
-}
-
-// --- client side: advertisement-driven read fan-out ---
-
-func (n *Node) handleReplicaAds(msg pnet.Message) (pnet.Message, error) {
-	ads := msg.Payload.([]ReplicaAd)
-	n.ads.Store(&ads)
-	return pnet.Message{}, nil
-}
-
-// lookupViaReplica short-circuits a lookup whose key falls in an
-// advertised hot range: rotate across owner+holders (spreading the
-// read load the advertisement exists to spread) and return the pick's
-// answer. ok=false — no ad covers the key, the picked holder had no
-// valid replica, or the pick was unreachable — sends the caller down
-// the normal routed path.
-func (n *Node) lookupViaReplica(req lookupReq) (pnet.Message, bool) {
-	adsPtr := n.ads.Load()
-	if adsPtr == nil {
-		return pnet.Message{}, false
-	}
-	self := n.ID()
-	for _, ad := range *adsPtr {
-		if !ad.Range.Contains(req.Key) {
-			continue
-		}
-		if ad.Owner == self {
-			// We own the key: the normal path serves it locally.
-			return pnet.Message{}, false
-		}
-		// A holder serves its own replica without a network hop.
-		if items, size, ok := n.serveHosted(req.Key, req.Name); ok {
-			n.servedReplica.Add(1)
-			return pnet.Message{Payload: lookupResp{Items: items, Hops: req.Hops}, Size: size}, true
-		}
-		cands := make([]string, 0, len(ad.Holders)+1)
-		cands = append(cands, ad.Owner)
-		for _, h := range ad.Holders {
-			if h != self {
-				cands = append(cands, h)
-			}
-		}
-		pick := cands[int(n.rrPick.Add(1))%len(cands)]
-		if pick == ad.Owner {
-			fwd := req
-			fwd.SkipAds = true
-			fwd.Hops++
-			if reply, err := n.ep.Call(pick, msgLookup, fwd, 16); err == nil {
-				return reply, true
-			}
-			return pnet.Message{}, false
-		}
-		reply, err := n.ep.Call(pick, msgReplicaServe, serveReq{Key: req.Key, Name: req.Name}, 16)
-		if err == nil {
-			if resp := reply.Payload.(serveResp); resp.Served {
-				return pnet.Message{Payload: lookupResp{Items: resp.Items, Hops: req.Hops + 1}, Size: reply.Size}, true
-			}
-		}
-		return pnet.Message{}, false
-	}
-	return pnet.Message{}, false
-}
-
-// --- adjacent-replica delta push (crash recovery) ---
 
 // pushAdjacent ships one mutation to the adjacent replica holder.
 // Pushes are serialized under pushMu so deltas arrive in sequence
@@ -404,10 +82,7 @@ func (n *Node) pushAdjacent(d replicaPut) {
 	n.pushMu.Lock()
 	defer n.pushMu.Unlock()
 	n.mu.RLock()
-	target := n.state.RightAdj
-	if target == "" {
-		target = n.state.LeftAdj
-	}
+	target := n.state.replicaHolder()
 	id := n.state.ID
 	fullSize := itemsSize(n.items)
 	n.mu.RUnlock()
@@ -444,106 +119,5 @@ func (n *Node) pushAdjacent(d replicaPut) {
 		repPushBytes.Add(size)
 	} else {
 		st.synced = false
-	}
-}
-
-// --- coordinator side ---
-
-// HeatFunc supplies a node's windowed key-space access heat (the
-// per-peer slice the bootstrap's collector aggregates). ok=false means
-// no heat evidence for that node; balancing then falls back to item
-// counts.
-type HeatFunc func(id string) (telemetry.HeatmapSnapshot, bool)
-
-// SetHeatSource wires the balancer's access-heat supplier. Nil (the
-// default) keeps the paper's cardinality-based balancing byte for byte.
-func (o *Overlay) SetHeatSource(f HeatFunc) {
-	o.mu.Lock()
-	o.heatFn = f
-	o.mu.Unlock()
-}
-
-// ReplicateRange replicates the intersection of r with each owning
-// node's subdomain onto up to k in-order neighbours per owner, then
-// advertises the holder sets to every node. Calling it again while the
-// range is still hot re-pushes fresh versioned copies, revalidating
-// holders that were invalidated by writes. Returns the number of owner
-// ranges replicated and holder copies installed.
-func (o *Overlay) ReplicateRange(r KeyRange, k int) (owners, installed int, err error) {
-	if k < 1 {
-		k = 1
-	}
-	o.mu.Lock()
-	ord := inorder(o.root)
-	type job struct {
-		owner string
-		req   replicateReq
-	}
-	var jobs []job
-	var ads []ReplicaAd
-	members := make([]string, 0, len(ord))
-	for i, t := range ord {
-		members = append(members, t.id)
-		inter, ok := intersect(t.r0, r)
-		if !ok {
-			continue
-		}
-		var holders []string
-		for d := 1; len(holders) < k && (i-d >= 0 || i+d < len(ord)); d++ {
-			if i+d < len(ord) {
-				holders = append(holders, ord[i+d].id)
-			}
-			if len(holders) < k && i-d >= 0 {
-				holders = append(holders, ord[i-d].id)
-			}
-		}
-		if len(holders) == 0 {
-			continue
-		}
-		ads = append(ads, ReplicaAd{Range: inter, Owner: t.id, Holders: holders})
-		jobs = append(jobs, job{owner: t.id, req: replicateReq{Range: inter, Holders: holders}})
-	}
-	o.replicaAds = ads
-	o.mu.Unlock()
-	for _, j := range jobs {
-		reply, cerr := o.ep.Call(j.owner, msgReplicate, j.req, 16)
-		if cerr != nil {
-			err = cerr
-			continue
-		}
-		installed += reply.Payload.(int)
-	}
-	o.broadcastAds(members, ads)
-	return len(jobs), installed, err
-}
-
-// ClearReplicas tears down every hot-range replication and withdraws
-// the advertisements (heat subsided, or a membership change made the
-// holder sets stale).
-func (o *Overlay) ClearReplicas() error {
-	o.mu.Lock()
-	ads := o.replicaAds
-	o.replicaAds = nil
-	var members []string
-	for _, t := range inorder(o.root) {
-		members = append(members, t.id)
-	}
-	o.mu.Unlock()
-	var err error
-	for _, ad := range ads {
-		if _, cerr := o.ep.Call(ad.Owner, msgReplicateRelease, nil, 16); cerr != nil {
-			err = cerr
-		}
-	}
-	o.broadcastAds(members, nil)
-	return err
-}
-
-// broadcastAds installs the advertisement table on every node.
-// Best-effort: a node that misses the update keeps stale ads, whose
-// serve attempts fail over to normal routing.
-func (o *Overlay) broadcastAds(members []string, ads []ReplicaAd) {
-	for _, id := range members {
-		_, _ = o.ep.Call(id, msgReplicaAds, ads, 16)
 	}
 }

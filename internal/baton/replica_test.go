@@ -2,247 +2,12 @@ package baton
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"bestpeer/internal/telemetry"
 )
-
-// clusterServeCounts sums lookup-serve accounting across the overlay.
-func clusterServeCounts(nodes map[string]*Node) (local, replica int64) {
-	for _, n := range nodes {
-		l, r := n.ServeCounts()
-		local += l
-		replica += r
-	}
-	return local, replica
-}
-
-// TestReplicateRangeSpreadsLookups: replicating a hot key range onto
-// two neighbours makes lookups rotate across owner+holders — replica
-// serves appear, the owner stops serving everything, and every answer
-// stays correct.
-func TestReplicateRangeSpreadsLookups(t *testing.T) {
-	o, nodes, _ := testOverlay(t, 6)
-	name := "hot:item"
-	key := StringKey(name)
-	if _, err := nodes["peer-00"].Insert(Item{Key: key, Name: name, Value: "v1", Size: 8}); err != nil {
-		t.Fatal(err)
-	}
-
-	owners, installed, err := o.ReplicateRange(KeyRange{Lo: key, Hi: key + 1e-6}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if owners != 1 || installed != 2 {
-		t.Fatalf("replicated %d owner ranges onto %d holders, want 1 onto 2", owners, installed)
-	}
-
-	localBefore, replicaBefore := clusterServeCounts(nodes)
-	lookups := 0
-	for round := 0; round < 4; round++ {
-		for _, n := range nodes {
-			items, _, err := n.Lookup(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(items) != 1 || items[0].Value.(string) != "v1" {
-				t.Fatalf("lookup through replicas = %+v", items)
-			}
-			lookups++
-		}
-	}
-	localAfter, replicaAfter := clusterServeCounts(nodes)
-	if replicaAfter == replicaBefore {
-		t.Error("no lookups served from replicas despite installed holders")
-	}
-	if served := localAfter - localBefore; served >= int64(lookups) {
-		t.Errorf("owner path served %d of %d lookups; replicas absorbed nothing", served, lookups)
-	}
-}
-
-// TestReplicaInvalidatedBeforeWriteAck pins the staleness contract: a
-// write into a replicated range synchronously invalidates every holder
-// before it is acknowledged, so no later lookup — whichever owner or
-// holder the rotation picks — can miss the write. A re-push then
-// revalidates the holders and replica serving resumes.
-func TestReplicaInvalidatedBeforeWriteAck(t *testing.T) {
-	o, nodes, _ := testOverlay(t, 6)
-	name := "hot:item" // exactly 8 bytes: "hot:itemX" names share its key
-	key := StringKey(name)
-	if _, err := nodes["peer-00"].Insert(Item{Key: key, Name: name, Value: "v1", Size: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := o.ReplicateRange(KeyRange{Lo: key, Hi: key + 1e-6}, 2); err != nil {
-		t.Fatal(err)
-	}
-	// Warm the rotation so holders hold (and serve) valid copies.
-	for round := 0; round < 3; round++ {
-		for _, n := range nodes {
-			if _, _, err := n.Lookup(name); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	invalBefore := telemetry.Default.Counter("baton_replica_invalidations_total").Value()
-	name2 := "hot:item2"
-	if StringKey(name2) != key {
-		t.Fatalf("setup: %q must share %q's key", name2, name)
-	}
-	if _, err := nodes["peer-05"].Insert(Item{Key: key, Name: name2, Value: "v2", Size: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if got := telemetry.Default.Counter("baton_replica_invalidations_total").Value(); got == invalBefore {
-		t.Error("write into a replicated range sent no invalidations")
-	}
-
-	// Enough lookups from every node to cycle each rotation through the
-	// owner and both holders: all must see the new item.
-	for round := 0; round < 4; round++ {
-		for id, n := range nodes {
-			items, _, err := n.Lookup(name2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(items) != 1 || items[0].Value.(string) != "v2" {
-				t.Fatalf("stale read from %s after invalidated write: %+v", id, items)
-			}
-		}
-	}
-
-	// Re-push: holders revalidate and replica serving resumes, with the
-	// fresh item in the copies.
-	if _, installed, err := o.ReplicateRange(KeyRange{Lo: key, Hi: key + 1e-6}, 2); err != nil || installed != 2 {
-		t.Fatalf("re-push installed %d holders, err %v", installed, err)
-	}
-	_, replicaBefore := clusterServeCounts(nodes)
-	for round := 0; round < 4; round++ {
-		for _, n := range nodes {
-			items, _, err := n.Lookup(name2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(items) != 1 || items[0].Value.(string) != "v2" {
-				t.Fatalf("stale read after re-push: %+v", items)
-			}
-		}
-	}
-	if _, replicaAfter := clusterServeCounts(nodes); replicaAfter == replicaBefore {
-		t.Error("replica serving did not resume after re-push")
-	}
-}
-
-// TestClearReplicasRestoresOwnerOnlyServing: releasing the replication
-// withdraws the ads — lookups stop touching holders and funnel back to
-// the owner, still correct.
-func TestClearReplicasRestoresOwnerOnlyServing(t *testing.T) {
-	o, nodes, _ := testOverlay(t, 6)
-	name := "hot:item"
-	key := StringKey(name)
-	if _, err := nodes["peer-00"].Insert(Item{Key: key, Name: name, Size: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := o.ReplicateRange(KeyRange{Lo: key, Hi: key + 1e-6}, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.ClearReplicas(); err != nil {
-		t.Fatal(err)
-	}
-	_, replicaBefore := clusterServeCounts(nodes)
-	for round := 0; round < 3; round++ {
-		for _, n := range nodes {
-			items, _, err := n.Lookup(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(items) != 1 {
-				t.Fatalf("lookup after release = %+v", items)
-			}
-		}
-	}
-	if _, replicaAfter := clusterServeCounts(nodes); replicaAfter != replicaBefore {
-		t.Error("replica serves recorded after ClearReplicas withdrew the ads")
-	}
-}
-
-// TestHeatWeightedBalanceSplitsByHeat: with a heat source wired, equal
-// item cardinality no longer means balanced — a node serving all the
-// measured access load sheds the hot part of its range to its
-// neighbour, splitting the pair's heat instead of its item count.
-// Without heat evidence the pass stays byte-identical to the paper's
-// cardinality balancing and does nothing here.
-func TestHeatWeightedBalanceSplitsByHeat(t *testing.T) {
-	o, nodes, _ := testOverlay(t, 2)
-	ids := o.Members()
-	a, b := nodes[ids[0]], nodes[ids[1]]
-	if a.State().R0.Lo > b.State().R0.Lo {
-		a, b = b, a
-	}
-	ra, rb := a.State().R0, b.State().R0
-
-	// Equal cardinality on both sides: 8 items spread over each range.
-	for i := 0; i < 8; i++ {
-		ka := ra.Lo + Key(float64(ra.Hi-ra.Lo)*float64(i+1)/10)
-		kb := rb.Lo + Key(float64(rb.Hi-rb.Lo)*float64(i+1)/10)
-		if _, err := a.Insert(Item{Key: ka, Name: fmt.Sprintf("a-%d", i), Size: 4}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := a.Insert(Item{Key: kb, Name: fmt.Sprintf("b-%d", i), Size: 4}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := totalItems(nodes)
-
-	// Count-balanced: no heat source, no shift.
-	if shifts, err := o.BalanceAdjacent(); err != nil || shifts != 0 {
-		t.Fatalf("count-balanced overlay shifted %d boundaries, err %v", shifts, err)
-	}
-
-	// All measured heat in one bucket fully inside a's range.
-	const buckets = telemetry.DefaultHeatBuckets
-	hotBucket := -1
-	for i := 0; i < buckets; i++ {
-		lo, hi := telemetry.HeatBucketRange(i, buckets)
-		if Key(lo) >= ra.Lo && Key(hi) <= ra.Hi {
-			hotBucket = i
-		}
-	}
-	if hotBucket < 0 {
-		t.Fatalf("no heat bucket fits inside %v", ra)
-	}
-	o.SetHeatSource(func(id string) (telemetry.HeatmapSnapshot, bool) {
-		v := make([]int64, buckets)
-		if id == a.ID() {
-			v[hotBucket] = 2 * minBalanceHeat
-		}
-		return telemetry.HeatmapSnapshot{Buckets: v}, true
-	})
-
-	shifts, err := o.BalanceAdjacent()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shifts != 1 {
-		t.Fatalf("heat-weighted pass shifted %d boundaries, want 1", shifts)
-	}
-	if err := o.CheckInvariants(nodes); err != nil {
-		t.Fatal(err)
-	}
-	if got := totalItems(nodes); got != before {
-		t.Fatalf("items = %d after heat shift, want %d", got, before)
-	}
-	// The boundary moved to the heat midpoint: the middle of the hot
-	// bucket, well inside a's old range.
-	lo, hi := telemetry.HeatBucketRange(hotBucket, buckets)
-	want := Key((lo + hi) / 2)
-	gotLo := b.State().R0.Lo
-	if diff := float64(gotLo - want); diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("new boundary = %v, want heat midpoint %v", gotLo, want)
-	}
-	if a.State().R0.Hi != gotLo {
-		t.Errorf("ranges not contiguous after heat shift: %v / %v", a.State().R0, b.State().R0)
-	}
-}
 
 // TestAdjacentReplicaDeltaCoalescing: per-mutation pushes to the
 // adjacent replica ship sequence-numbered deltas, not the full item
@@ -288,5 +53,169 @@ func TestAdjacentReplicaDeltaCoalescing(t *testing.T) {
 	}
 	if err := o.CheckInvariants(nodes); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// itemIdent identifies one stored entry for recovery checks.
+type itemIdent struct {
+	Key   Key
+	Name  string
+	Owner string
+}
+
+// identCounts counts items by (key, name, owner); a duplicate counts
+// twice.
+func identCounts(items []Item) map[itemIdent]int {
+	out := make(map[itemIdent]int, len(items))
+	for _, it := range items {
+		out[itemIdent{Key: it.Key, Name: it.Name, Owner: it.Owner}]++
+	}
+	return out
+}
+
+// churnAroundShift drives a seeded mix of inserts and deletes through
+// the overlay — most inserts into the "hot:" key band, which one node
+// owns, some re-publishing a live name under another owner, deletes
+// both owner-selective and any-owner — then a BalanceAdjacent pass
+// whose boundary shifts ship cut deltas from the shedding node and add
+// deltas to the receiving ones, then more churn on top of the shifted
+// ranges. It returns the entries that should be live.
+func churnAroundShift(t *testing.T, seed int64, o *Overlay, nodes map[string]*Node) []Item {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	ids := o.Members()
+	var live []Item
+	churn := func(ops int) {
+		for i := 0; i < ops; i++ {
+			at := nodes[ids[rng.Intn(len(ids))]]
+			if len(live) > 0 && rng.Intn(4) == 0 {
+				victim := live[rng.Intn(len(live))]
+				owner := victim.Owner
+				if rng.Intn(2) == 0 {
+					owner = ""
+				}
+				if _, _, err := at.Delete(victim.Name, owner); err != nil {
+					t.Fatal(err)
+				}
+				kept := live[:0]
+				for _, it := range live {
+					if it.Name != victim.Name || (owner != "" && it.Owner != owner) {
+						kept = append(kept, it)
+					}
+				}
+				live = kept
+				continue
+			}
+			var name string
+			switch r := rng.Intn(8); {
+			case r == 0 && len(live) > 0:
+				name = live[rng.Intn(len(live))].Name
+			case r < 6:
+				name = fmt.Sprintf("hot:%04d", rng.Intn(10000))
+			default:
+				name = fmt.Sprintf("%c%07d", 'a'+rng.Intn(26), rng.Intn(10000000))
+			}
+			it := Item{Key: StringKey(name), Name: name, Owner: at.ID(), Size: 16}
+			if _, err := at.Insert(it); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, it)
+		}
+	}
+
+	churn(40)
+	deltas := telemetry.Default.Counter("baton_replica_push_total", telemetry.L("kind", "delta"))
+	before := deltas.Value()
+	shifts, err := o.BalanceAdjacent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shifts == 0 {
+		t.Fatal("no boundary shift on the hot band")
+	}
+	if got := deltas.Value() - before; got != int64(2*shifts) {
+		t.Fatalf("%d boundary shifts shipped %d deltas, want one cut and one add each", shifts, got)
+	}
+	churn(20)
+	if err := o.CheckInvariants(nodes); err != nil {
+		t.Fatal(err)
+	}
+	return live
+}
+
+// TestRecoveryAfterDeletesAndBoundaryShift: the adjacent replica stays
+// an exact copy through every delta kind — add, del (owner-selective
+// and any-owner) and the cut/add pair a balancing boundary shift ships —
+// with no full resync to paper over a bad delta. Crashing any node
+// afterwards, Recover restores exactly its entries, compared by (key,
+// name, owner).
+func TestRecoveryAfterDeletesAndBoundaryShift(t *testing.T) {
+	full := telemetry.Default.Counter("baton_replica_push_total", telemetry.L("kind", "full"))
+	for seed := int64(1); seed <= 3; seed++ {
+		for v := 0; v < 6; v++ {
+			o, nodes, net := testOverlay(t, 6)
+			fullBefore := full.Value()
+			live := churnAroundShift(t, seed, o, nodes)
+			if got := full.Value() - fullBefore; got != 0 {
+				t.Fatalf("seed %d: %d full resyncs during churn; the deltas alone must keep replicas exact", seed, got)
+			}
+
+			victim := o.Members()[v]
+			want := identCounts(itemsOf(nodes[victim]))
+			net.SetDown(victim, true)
+			replacement := NewNode(net.Join(victim + "-replacement"))
+			if err := o.Recover(victim, replacement); err != nil {
+				t.Fatal(err)
+			}
+			delete(nodes, victim)
+			nodes[victim+"-replacement"] = replacement
+			if got := identCounts(itemsOf(replacement)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d, victim %s: recovered %v, want %v", seed, victim, got, want)
+			}
+			if err := o.CheckInvariants(nodes); err != nil {
+				t.Fatal(err)
+			}
+			all, _, err := replacement.RangeSearch(FullRange())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := identCounts(all); !reflect.DeepEqual(got, identCounts(live)) {
+				t.Fatalf("seed %d, victim %s: overlay holds %v after recovery, want %v", seed, victim, got, identCounts(live))
+			}
+		}
+	}
+}
+
+// TestRecoveryAfterJoinMovesHolder: the rightmost node's replica lives
+// on its in-order predecessor, so a join that slots a new predecessor
+// in front of it (or makes the joiner the new rightmost node) moves the
+// holder without touching the successor link. The node must resync to
+// the new holder, or a crash right after the join recovers nothing.
+func TestRecoveryAfterJoinMovesHolder(t *testing.T) {
+	for size := 2; size <= 9; size++ {
+		o, nodes, net := testOverlay(t, size)
+		for i := 0; i < 200; i++ {
+			k := Key(float64(i) / 200)
+			if _, err := nodes["peer-00"].Insert(Item{Key: k, Name: fmt.Sprintf("it-%03d", i), Size: 4}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		joiner := NewNode(net.Join(fmt.Sprintf("peer-%02d", size)))
+		if err := o.AddNode(joiner); err != nil {
+			t.Fatal(err)
+		}
+		nodes[joiner.ID()] = joiner
+
+		members := o.Members()
+		victim := members[len(members)-1]
+		want := identCounts(itemsOf(nodes[victim]))
+		net.SetDown(victim, true)
+		replacement := NewNode(net.Join(victim + "-replacement"))
+		if err := o.Recover(victim, replacement); err != nil {
+			t.Fatal(err)
+		}
+		if got := identCounts(itemsOf(replacement)); !reflect.DeepEqual(got, want) {
+			t.Errorf("%d+1 nodes: recovered %d of rightmost %s's %d items", size, len(got), victim, len(want))
+		}
 	}
 }

@@ -130,6 +130,14 @@ func TestAblationsRun(t *testing.T) {
 	if on >= off {
 		t.Errorf("bloom on %v >= off %v", on, off)
 	}
+	// The index cache can only save overlay hops, never add latency.
+	if on, off := parseSeconds(t, tab.Rows[1][2]), parseSeconds(t, tab.Rows[1][3]); on > off {
+		t.Errorf("index cache on %v > off %v", on, off)
+	}
+	// Push transfers skip the MapReduce-style pull delay.
+	if push, pull := parseSeconds(t, tab.Rows[2][2]), parseSeconds(t, tab.Rows[2][3]); push >= pull {
+		t.Errorf("push %v >= pull %v", push, pull)
+	}
 }
 
 func TestTableFormat(t *testing.T) {

@@ -25,7 +25,6 @@ func init() {
 		"bootstrap_failovers_total":          "Fail-overs triggered by cloud metrics or aggregated telemetry.",
 		"bootstrap_scaleups_total":           "Auto-scaling actions triggered by CPU, storage, or p99 latency.",
 		"bootstrap_hotspots_total":           "Hot key ranges detected on their rising edge.",
-		"bootstrap_rebalances_total":         "Rebalance actions: hot-range replication triggered on an index-heat rising edge.",
 	} {
 		d.Counter(name)
 		d.SetHelp(name, help)
@@ -78,28 +77,10 @@ func (f FailoverFunc) Failover(failedID string) (string, ed25519.PublicKey, erro
 	return f(failedID)
 }
 
-// RebalanceHandler turns a detected index-serving hotspot into
-// mitigation. The network assembly implements it on top of the overlay
-// coordinator: Rebalance replicates the hot range onto neighbours (it
-// is re-invoked every epoch the range stays hot, so the re-push
-// revalidates holders that missed an invalidation while partitioned);
-// Release tears every hot-range replica down once the heat subsides.
-// Both return a short note for the event log.
-type RebalanceHandler interface {
-	Rebalance(r HotRange) (string, error)
-	Release() (string, error)
-}
-
-// MsgHeatAdvisory is the bootstrap's push verb for the heat advisory:
-// the sorted []string of peers currently at the top of an over-threshold
-// index-heat range. Peers bias query fan-out dispatch away from the
-// listed peers; an empty list restores the fixed natural order.
-const MsgHeatAdvisory = "peer.heat.advisory"
-
 // Event is one entry of the bootstrap's administrative log.
 type Event struct {
 	At   time.Duration
-	Kind string // "join", "leave", "failover", "scaleup", "hotspot", "rebalance", "release", "notify"
+	Kind string // "join", "leave", "failover", "scaleup", "hotspot", "release", "notify"
 	Peer string
 	Note string
 }
@@ -157,7 +138,6 @@ type Peer struct {
 	provider  *cloud.SimProvider
 	ca        *CertAuthority
 	failover  FailoverHandler
-	rebalance RebalanceHandler
 	thresh    Thresholds
 	collector *Collector
 
@@ -174,28 +154,22 @@ type Peer struct {
 	// threshold, so the daemon logs each hot range once on its rising
 	// edge instead of every epoch it stays hot.
 	hotBuckets map[int]bool
-	// rebalBuckets is the same rising-edge memory for the rebalance
-	// action's index-heat signal, and lastAdvisory the hot-peer list the
-	// last heat advisory broadcast carried.
-	rebalBuckets map[int]bool
-	lastAdvisory []string
 }
 
 // New creates a bootstrap peer attached to the network.
 func New(net *pnet.Network, id string, provider *cloud.SimProvider) (*Peer, error) {
 	b := &Peer{
-		ep:           net.Join(id),
-		provider:     provider,
-		thresh:       DefaultThresholds(),
-		collector:    NewCollector(),
-		peers:        make(map[string]*PeerRecord),
-		blacklist:    make(map[string]Certificate),
-		schemas:      make(map[string]*sqldb.Schema),
-		stats:        make(map[string]StatsDomainRecord),
-		roles:        accesscontrol.NewRegistry(),
-		users:        make(map[string]string),
-		hotBuckets:   make(map[int]bool),
-		rebalBuckets: make(map[int]bool),
+		ep:         net.Join(id),
+		provider:   provider,
+		thresh:     DefaultThresholds(),
+		collector:  NewCollector(),
+		peers:      make(map[string]*PeerRecord),
+		blacklist:  make(map[string]Certificate),
+		schemas:    make(map[string]*sqldb.Schema),
+		stats:      make(map[string]StatsDomainRecord),
+		roles:      accesscontrol.NewRegistry(),
+		users:      make(map[string]string),
+		hotBuckets: make(map[int]bool),
 	}
 	ca, err := NewCertAuthority(func() time.Duration {
 		b.mu.Lock()
@@ -259,12 +233,6 @@ func (b *Peer) CA() *CertAuthority { return b.ca }
 
 // SetFailoverHandler installs the network assembly's fail-over hook.
 func (b *Peer) SetFailoverHandler(h FailoverHandler) { b.failover = h }
-
-// SetRebalanceHandler installs the hotspot-mitigation hook. Until one
-// is installed the daemon only detects hot ranges (the hotspot event);
-// with it, Algorithm 1 gains a rebalance action and the heat advisory
-// broadcast. Pass nil to fall back to detection only.
-func (b *Peer) SetRebalanceHandler(h RebalanceHandler) { b.rebalance = h }
 
 // SetThresholds overrides the monitoring thresholds.
 func (b *Peer) SetThresholds(t Thresholds) { b.thresh = t }
@@ -575,12 +543,6 @@ func (b *Peer) RunMaintenanceEpoch(advance time.Duration) error {
 	// here moves data.
 	b.detectHotspots()
 
-	// Hot-range response: when a rebalance handler is installed, turn
-	// sustained index-serving hotspots into mitigation — replicate the
-	// hot range, advise peers to dispatch around the saturated owner —
-	// and tear it all down again when the heat subsides.
-	b.respondHeat()
-
 	// Release blacklisted resources (line 18).
 	b.mu.Lock()
 	released := make([]string, 0, len(b.blacklist))
@@ -647,107 +609,6 @@ func (b *Peer) detectHotspots() {
 		b.logEvent("hotspot", r.TopPeer, note)
 	}
 	b.hotBuckets = cur
-}
-
-// respondHeat runs one epoch's rebalance action. The signal is the
-// collector's *index*-serving heat, not the workload heat detectHotspots
-// reads: index lookups key on table/column names, so a popular table
-// funnels its whole lookup load onto one overlay owner even when the
-// data accesses are spread wide — and that funnel is what replication
-// can actually relieve. The handler is re-invoked every epoch a range
-// stays hot (the re-push revalidates holders that missed an
-// invalidation), but the event logs once per rising edge, attributed to
-// the signal that fired. When no range is hot any more the handler's
-// Release tears the replicas down.
-func (b *Peer) respondHeat() {
-	if b.rebalance == nil || b.thresh.HeatSkewHigh <= 0 {
-		return
-	}
-	hot := b.collector.IndexHotRanges(b.thresh.HeatSkewHigh, b.thresh.MinHeatSamples)
-	b.mu.Lock()
-	prev := b.rebalBuckets
-	hadHot := len(prev) > 0
-	b.mu.Unlock()
-
-	cur := make(map[int]bool, len(hot))
-	hotPeers := make(map[string]bool, len(hot))
-	for _, r := range hot {
-		cur[r.Bucket] = true
-		if r.TopPeer != "" {
-			hotPeers[r.TopPeer] = true
-		}
-		note, err := b.rebalance.Rebalance(r)
-		if prev[r.Bucket] && err == nil {
-			continue // still hot: this epoch's call only revalidated holders
-		}
-		telemetry.Default.Counter("bootstrap_rebalances_total").Inc()
-		msg := fmt.Sprintf("telemetry: index keys [%.3f,%.3f) share=%.0f%% skew=%.1fx n=%d",
-			r.Lo, r.Hi, 100*r.Share, r.Skew, r.Samples)
-		if err != nil {
-			msg += " error: " + err.Error()
-		} else if note != "" {
-			msg += " -> " + note
-		}
-		b.mu.Lock()
-		b.logEvent("rebalance", r.TopPeer, msg)
-		b.mu.Unlock()
-	}
-	if len(cur) == 0 && hadHot {
-		note, err := b.rebalance.Release()
-		msg := "heat subsided"
-		if err != nil {
-			msg += " error: " + err.Error()
-		} else if note != "" {
-			msg += " -> " + note
-		}
-		b.mu.Lock()
-		b.logEvent("rebalance", "", msg)
-		b.mu.Unlock()
-	}
-
-	// Advise peers which owners are saturated so query fan-out dispatches
-	// to them last. Broadcast only on change; an empty list clears it.
-	advisory := make([]string, 0, len(hotPeers))
-	for id := range hotPeers {
-		advisory = append(advisory, id)
-	}
-	sort.Strings(advisory)
-	b.mu.Lock()
-	changed := !equalStrings(advisory, b.lastAdvisory)
-	b.rebalBuckets = cur
-	if changed {
-		b.lastAdvisory = advisory
-	}
-	peers := make([]string, 0, len(b.peers))
-	for id := range b.peers {
-		peers = append(peers, id)
-	}
-	b.mu.Unlock()
-	if changed {
-		sort.Strings(peers)
-		var size int64
-		for _, id := range advisory {
-			size += int64(len(id))
-		}
-		for _, id := range peers {
-			// Best effort: an unreachable peer keeps its previous advisory
-			// until the next change; dispatch order never affects results.
-			_, _ = b.ep.Call(id, MsgHeatAdvisory, advisory, size+8)
-		}
-	}
-}
-
-// equalStrings reports whether two string slices are elementwise equal.
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // instanceIDFor derives the cloud instance ID for a peer. The network

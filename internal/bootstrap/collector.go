@@ -38,9 +38,6 @@ type windowSample struct {
 	queue        telemetry.HistogramSnapshot
 	servingQueue telemetry.HistogramSnapshot
 	heat         telemetry.HeatmapSnapshot
-	indexHeat    telemetry.HeatmapSnapshot
-	lookups      int64
-	replicaReads int64
 	rpcCalls     map[string]int64 // destination -> calls this delta
 	rpcErrs      map[string]int64
 }
@@ -94,14 +91,6 @@ type PeerHealth struct {
 	HeatShare   float64
 	HotBucket   int
 	HeatSamples int64
-	// LookupsServed and ReplicaReads count the window's overlay lookup
-	// serves: answered from the peer's own items vs from hosted
-	// hot-range replicas. ReplicaShare is replica reads over all
-	// serves — the dashboard's view of how much read load the
-	// mitigation plane moved onto this peer.
-	LookupsServed int64
-	ReplicaReads  int64
-	ReplicaShare  float64
 	// LastReport is when the peer's latest report arrived; Reports
 	// counts all absorbed reports.
 	LastReport time.Time
@@ -163,14 +152,6 @@ func (c *Collector) Absorb(rep telemetry.Report) error {
 			if p.Heat != nil {
 				s.heat = *p.Heat
 			}
-		case "peer_index_heat":
-			if p.Heat != nil {
-				s.indexHeat = *p.Heat
-			}
-		case "peer_lookups_served_total":
-			s.lookups += int64(p.Value)
-		case "peer_replica_reads_total":
-			s.replicaReads += int64(p.Value)
 		case "peer_serving_admitted_total":
 			s.admitted += int64(p.Value)
 		case "peer_serving_shed_total":
@@ -262,8 +243,6 @@ func (c *Collector) Health(peer string) (PeerHealth, bool) {
 		h.ShuffleBytes += s.shuffle
 		h.ServingAdmitted += s.admitted
 		h.ServingShed += s.shed
-		h.LookupsServed += s.lookups
-		h.ReplicaReads += s.replicaReads
 		lat = addHist(lat, s.latency)
 		queue = addHist(queue, s.queue)
 		servingQueue = addHist(servingQueue, s.servingQueue)
@@ -272,9 +251,6 @@ func (c *Collector) Health(peer string) (PeerHealth, bool) {
 	if h.HeatSamples = heat.Count(); h.HeatSamples > 0 {
 		h.HotBucket, h.HeatShare = heat.Top()
 		h.HeatSkew = heat.Skew()
-	}
-	if total := h.LookupsServed + h.ReplicaReads; total > 0 {
-		h.ReplicaShare = float64(h.ReplicaReads) / float64(total)
 	}
 	if queries > 0 {
 		h.ErrorRate = float64(errs) / float64(queries)
@@ -394,56 +370,7 @@ type HotRange struct {
 // accesses (cold clusters produce degenerate shares). Results are
 // hottest-first. Detection only — nothing here moves data.
 func (c *Collector) HotRanges(minSkew float64, minSamples int64) []HotRange {
-	return c.hotRangesIn(c.ClusterHeat(), minSkew, minSamples, c.topHeatPeer)
-}
-
-// IndexHeat sums every peer's windowed overlay-serving heat
-// (peer_index_heat): which key-space buckets of the BATON index plane
-// are drawing lookup traffic, attributed to the nodes serving them.
-func (c *Collector) IndexHeat() telemetry.HeatmapSnapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := telemetry.HeatmapSnapshot{}
-	for _, w := range c.windows {
-		for _, s := range w.ring {
-			out = out.Add(s.indexHeat)
-		}
-	}
-	return out
-}
-
-// PeerIndexHeat returns one peer's windowed overlay-serving heat
-// vector. ok is false when the peer never reported index heat — the
-// balancer then falls back to item counts.
-func (c *Collector) PeerIndexHeat(peer string) (telemetry.HeatmapSnapshot, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := c.windows[peer]
-	if w == nil {
-		return telemetry.HeatmapSnapshot{}, false
-	}
-	out := telemetry.HeatmapSnapshot{}
-	for _, s := range w.ring {
-		out = out.Add(s.indexHeat)
-	}
-	if len(out.Buckets) == 0 {
-		return telemetry.HeatmapSnapshot{}, false
-	}
-	return out, true
-}
-
-// IndexHotRanges is HotRanges over the overlay-serving heat plane: the
-// ranges of the *index* key space whose lookup load is skewed onto few
-// nodes. This is the signal the mitigation plane acts on — replicating
-// the named range spreads exactly the load measured here.
-func (c *Collector) IndexHotRanges(minSkew float64, minSamples int64) []HotRange {
-	return c.hotRangesIn(c.IndexHeat(), minSkew, minSamples, c.topIndexHeatPeer)
-}
-
-// hotRangesIn scans one heat vector for buckets whose skew exceeds
-// minSkew; topPeer attributes each hot bucket to its biggest
-// contributor.
-func (c *Collector) hotRangesIn(heat telemetry.HeatmapSnapshot, minSkew float64, minSamples int64, topPeer func(bucket int) string) []HotRange {
+	heat := c.ClusterHeat()
 	n := len(heat.Buckets)
 	total := heat.Count()
 	if n == 0 || total < minSamples || total == 0 {
@@ -460,7 +387,7 @@ func (c *Collector) hotRangesIn(heat telemetry.HeatmapSnapshot, minSkew float64,
 		out = append(out, HotRange{
 			Bucket: i, Lo: lo, Hi: hi,
 			Share: share, Skew: skew, Samples: cnt,
-			TopPeer: topPeer(i),
+			TopPeer: c.topHeatPeer(i),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Samples > out[j].Samples })
@@ -470,15 +397,6 @@ func (c *Collector) hotRangesIn(heat telemetry.HeatmapSnapshot, minSkew float64,
 // topHeatPeer names the peer whose window contributed the most heat to
 // one bucket (ties break to the lexically smaller ID for determinism).
 func (c *Collector) topHeatPeer(bucket int) string {
-	return c.topPeerBy(bucket, func(s windowSample) telemetry.HeatmapSnapshot { return s.heat })
-}
-
-// topIndexHeatPeer is topHeatPeer over the overlay-serving heat plane.
-func (c *Collector) topIndexHeatPeer(bucket int) string {
-	return c.topPeerBy(bucket, func(s windowSample) telemetry.HeatmapSnapshot { return s.indexHeat })
-}
-
-func (c *Collector) topPeerBy(bucket int, heatOf func(windowSample) telemetry.HeatmapSnapshot) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var top string
@@ -491,9 +409,8 @@ func (c *Collector) topPeerBy(bucket int, heatOf func(windowSample) telemetry.He
 	for _, id := range ids {
 		var sum int64
 		for _, s := range c.windows[id].ring {
-			h := heatOf(s)
-			if bucket < len(h.Buckets) {
-				sum += h.Buckets[bucket]
+			if bucket < len(s.heat.Buckets) {
+				sum += s.heat.Buckets[bucket]
 			}
 		}
 		if sum > max {

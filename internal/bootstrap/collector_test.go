@@ -149,12 +149,16 @@ func TestRenderDashboardEightPeers(t *testing.T) {
 	if len(lines) != 9 { // header + 8 peers
 		t.Fatalf("dashboard lines = %d:\n%s", len(lines), frame)
 	}
-	if !strings.HasPrefix(lines[0], "PEER") {
-		t.Errorf("header = %q", lines[0])
+	wantCols := []string{"PEER", "HEALTH", "QPS", "P99", "ERR%", "RPCFAIL", "ROWS", "SHUFFLE", "QWAIT", "SHED%", "HEAT", "AGE"}
+	if got := strings.Fields(lines[0]); strings.Join(got, " ") != strings.Join(wantCols, " ") {
+		t.Errorf("header columns = %q, want %q", got, wantCols)
 	}
 	for i, id := range ids {
 		if !strings.HasPrefix(lines[i+1], id) {
 			t.Errorf("line %d = %q, want peer %s", i+1, lines[i+1], id)
+		}
+		if got := len(strings.Fields(lines[i+1])); got != len(wantCols) {
+			t.Errorf("line %d has %d cells, want %d: %q", i+1, got, len(wantCols), lines[i+1])
 		}
 	}
 	if !strings.Contains(frame, "3s") {

@@ -13,10 +13,10 @@ import (
 // layout is unit-testable without a network.
 func RenderDashboard(healths []PeerHealth, now time.Time) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-16s %6s %7s %8s %6s %8s %12s %10s %8s %6s %6s %6s %6s\n",
-		"PEER", "HEALTH", "QPS", "P99", "ERR%", "RPCFAIL", "ROWS", "SHUFFLE", "QWAIT", "SHED%", "HEAT", "REPL%", "AGE")
+	fmt.Fprintf(&b, "%-16s %6s %7s %8s %6s %8s %12s %10s %8s %6s %6s %6s\n",
+		"PEER", "HEALTH", "QPS", "P99", "ERR%", "RPCFAIL", "ROWS", "SHUFFLE", "QWAIT", "SHED%", "HEAT", "AGE")
 	for _, h := range healths {
-		fmt.Fprintf(&b, "%-16s %6.2f %7.1f %8s %5.1f%% %7.1f%% %12d %10s %8s %5.1f%% %6s %6s %6s\n",
+		fmt.Fprintf(&b, "%-16s %6.2f %7.1f %8s %5.1f%% %7.1f%% %12d %10s %8s %5.1f%% %6s %6s\n",
 			h.Peer,
 			h.Score,
 			h.QPS,
@@ -28,7 +28,6 @@ func RenderDashboard(healths []PeerHealth, now time.Time) string {
 			shortDuration(time.Duration(h.QueueWaitP95*float64(time.Second))),
 			100*h.ServingShedRate,
 			heatCell(h),
-			replCell(h),
 			reportAge(h.LastReport, now))
 	}
 	if len(healths) == 0 {
@@ -45,17 +44,6 @@ func heatCell(h PeerHealth) string {
 		return "-"
 	}
 	return fmt.Sprintf("%.1fx", h.HeatSkew)
-}
-
-// replCell renders the share of a peer's overlay lookups answered from
-// hosted hot-range replicas ("-" = the peer served no lookups in the
-// window). A non-zero column is the live signature of mitigation: reads
-// that would have funnelled onto the hot owner land here instead.
-func replCell(h PeerHealth) string {
-	if h.LookupsServed+h.ReplicaReads == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.0f%%", 100*h.ReplicaShare)
 }
 
 // heatBarGlyphs are the spark levels of the key-space heat bar, coldest

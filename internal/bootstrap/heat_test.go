@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"bestpeer/internal/cloud"
-	"bestpeer/internal/pnet"
 	"bestpeer/internal/telemetry"
 )
 
@@ -172,133 +170,5 @@ func TestHotspotEventsRisingEdge(t *testing.T) {
 	b.detectHotspots()
 	if got := hotspotEvents(); got != 2 {
 		t.Fatalf("events after re-heat = %d, want 2", got)
-	}
-}
-
-// indexHeatPoint builds a peer_index_heat delta point — the overlay
-// serving heat the rebalance responder keys off.
-func indexHeatPoint(buckets ...int64) telemetry.PointSnapshot {
-	hs := telemetry.HeatmapSnapshot{Buckets: buckets}
-	return telemetry.PointSnapshot{Name: "peer_index_heat", Kind: "heatmap", Value: float64(hs.Count()), Heat: &hs}
-}
-
-// fakeRebalancer records the Algorithm 1 rebalance actions dispatched
-// to it.
-type fakeRebalancer struct {
-	calls    []HotRange
-	released int
-}
-
-func (f *fakeRebalancer) Rebalance(r HotRange) (string, error) {
-	f.calls = append(f.calls, r)
-	return "replicated", nil
-}
-
-func (f *fakeRebalancer) Release() (string, error) {
-	f.released++
-	return "dropped", nil
-}
-
-// TestRebalanceActionRisingEdgeAndRelease pins the heat-response
-// contract: the handler re-fires every epoch while the range stays hot
-// (each re-push revalidates holders), but the event log and the
-// advisory broadcast move only on edges — one rebalance event per
-// rising edge, one Release plus an empty advisory when the heat
-// subsides.
-func TestRebalanceActionRisingEdgeAndRelease(t *testing.T) {
-	b, provider, net := testBootstrap(t)
-
-	// One admitted peer whose endpoint captures advisory broadcasts.
-	if _, err := provider.Launch("peer-1", cloud.M1Small); err != nil {
-		t.Fatal(err)
-	}
-	ep := net.Join("peer-1")
-	ep.Handle("peer.membership.changed", func(pnet.Message) (pnet.Message, error) { return pnet.Message{}, nil })
-	ep.Handle("peer.user.created", func(pnet.Message) (pnet.Message, error) { return pnet.Message{}, nil })
-	var advisories [][]string
-	ep.HandleIdempotent(MsgHeatAdvisory, func(msg pnet.Message) (pnet.Message, error) {
-		hot, _ := msg.Payload.([]string)
-		advisories = append(advisories, hot)
-		return pnet.Message{}, nil
-	})
-	if _, err := b.Join("peer-1", "peer-1", peerKey(t)); err != nil {
-		t.Fatal(err)
-	}
-
-	fake := &fakeRebalancer{}
-	b.SetRebalanceHandler(fake)
-
-	rebalanceEvents := func() (n int, last Event) {
-		for _, e := range b.Events() {
-			if e.Kind == "rebalance" {
-				n++
-				last = e
-			}
-		}
-		return n, last
-	}
-	hotReport := func(seq uint64) telemetry.Report {
-		return telemetry.Report{Peer: "peer-1", Seq: seq, Delta: telemetry.RegistrySnapshot{
-			Points: []telemetry.PointSnapshot{indexHeatPoint(1000, 0, 0, 0, 0, 0, 0, 0)}}}
-	}
-
-	// No heat yet: armed but inert.
-	b.respondHeat()
-	if len(fake.calls) != 0 || len(advisories) != 0 {
-		t.Fatalf("cold daemon acted: %d calls, %d advisories", len(fake.calls), len(advisories))
-	}
-
-	if err := b.collector.Absorb(hotReport(1)); err != nil {
-		t.Fatal(err)
-	}
-	b.respondHeat()
-	if len(fake.calls) != 1 {
-		t.Fatalf("handler calls after rising edge = %d, want 1", len(fake.calls))
-	}
-	if r := fake.calls[0]; r.Bucket != 0 || r.TopPeer != "peer-1" || r.Lo != 0 || r.Hi != 0.125 {
-		t.Errorf("dispatched range = %+v", r)
-	}
-	if n, e := rebalanceEvents(); n != 1 || e.Peer != "peer-1" || !strings.Contains(e.Note, "-> replicated") {
-		t.Errorf("events after rising edge: n=%d last=%+v", n, e)
-	}
-	if len(advisories) != 1 || len(advisories[0]) != 1 || advisories[0][0] != "peer-1" {
-		t.Fatalf("advisories after rising edge = %v", advisories)
-	}
-
-	// Still hot next epoch: the handler re-fires (re-push revalidates
-	// holders) but the log and the unchanged advisory stay quiet.
-	b.respondHeat()
-	if len(fake.calls) != 2 {
-		t.Errorf("handler calls while continuously hot = %d, want 2", len(fake.calls))
-	}
-	if n, _ := rebalanceEvents(); n != 1 {
-		t.Errorf("events while continuously hot = %d, want still 1", n)
-	}
-	if len(advisories) != 1 {
-		t.Errorf("unchanged advisory re-broadcast: %v", advisories)
-	}
-
-	// Cool down: Release fires once, the event names it, and the empty
-	// advisory lifts the dispatch bias everywhere.
-	for i := 0; i < collectorWindow; i++ {
-		if err := b.collector.Absorb(telemetry.Report{Peer: "peer-1", Seq: uint64(2 + i), Delta: telemetry.RegistrySnapshot{
-			Points: []telemetry.PointSnapshot{indexHeatPoint(100, 100, 100, 100, 100, 100, 100, 100)}}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	b.respondHeat()
-	if fake.released != 1 {
-		t.Errorf("released = %d, want 1", fake.released)
-	}
-	if n, e := rebalanceEvents(); n != 2 || !strings.Contains(e.Note, "heat subsided") {
-		t.Errorf("events after cool-down: n=%d last=%+v", n, e)
-	}
-	if len(advisories) != 2 || len(advisories[1]) != 0 {
-		t.Errorf("advisories after cool-down = %v", advisories)
-	}
-	// Quiescent epochs release nothing further.
-	b.respondHeat()
-	if fake.released != 1 || len(advisories) != 2 {
-		t.Errorf("idle epoch acted: released=%d advisories=%v", fake.released, advisories)
 	}
 }

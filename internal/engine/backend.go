@@ -170,27 +170,6 @@ type Options struct {
 	// false (default) keeps BestPeer++'s push transfers; true adds the
 	// MapReduce-style pull delay to every fetch round.
 	SimulatePullTransfer bool
-	// HotPeers lists peers the monitoring plane reports as
-	// heat-saturated: fan-out rounds rotate their dispatch order and
-	// contact these peers last, so synchronized rounds stop front-
-	// loading the hot peer. Empty (the default) keeps the fixed
-	// natural dispatch order — results are identical either way.
-	HotPeers []string
-}
-
-// DispatchOrder returns the per-round dispatch order for the given
-// targets: nil (the natural order, byte-identical to the pre-heat
-// behavior) when no hot peers are configured, otherwise a rotated
-// permutation with heat-saturated targets pushed to the back.
-func (o Options) DispatchOrder(targets []string) []int {
-	if len(o.HotPeers) == 0 || len(targets) <= 1 {
-		return nil
-	}
-	hot := make(map[string]bool, len(o.HotPeers))
-	for _, p := range o.HotPeers {
-		hot[p] = true
-	}
-	return RotatedOrder(len(targets), func(i int) bool { return hot[targets[i]] })
 }
 
 // tableAccess is one FROM entry's resolved access plan.

@@ -55,7 +55,7 @@ func (e *Basic) fetch(a *tableAccess, bloomCol string, bloom *Bloom) (*fetchRoun
 		req.BloomColumn = bloomCol
 		req.Bloom = bloom
 	}
-	results, err := FanOutOrdered(len(a.loc.Peers), e.Opts.DispatchOrder(a.loc.Peers), func(i int) (*sqldb.Result, error) {
+	results, err := FanOut(len(a.loc.Peers), func(i int) (*sqldb.Result, error) {
 		return e.B.SubQuery(a.loc.Peers[i], req)
 	})
 	if err != nil {
@@ -165,7 +165,7 @@ func (e *Basic) execute(stmt *sqldb.SelectStmt) (*QueryResult, error) {
 		} else if ok {
 			sp := e.Span.StartChild("partial-agg:"+a.ref.Table, telemetry.L("peers", fmt.Sprintf("%d", len(a.loc.Peers))))
 			req := SubQueryRequest{Stmt: d.Partial, User: e.User, Timestamp: e.Timestamp, Trace: sp.Context(), StmtBytes: SubQueryBytes(d.Partial)}
-			results, err := FanOutOrdered(len(a.loc.Peers), e.Opts.DispatchOrder(a.loc.Peers), func(i int) (*sqldb.Result, error) {
+			results, err := FanOut(len(a.loc.Peers), func(i int) (*sqldb.Result, error) {
 				return e.B.SubQuery(a.loc.Peers[i], req)
 			})
 			if err != nil {

@@ -52,36 +52,6 @@ func tryAcquireWorker() bool {
 	}
 }
 
-// dispatchRound numbers ordered fan-out rounds process-wide; each round
-// rotates its dispatch start by the counter, so synchronized rounds
-// from many concurrent queries spread their first calls over the target
-// set instead of all hammering target 0. Deterministic (no clock, no
-// RNG): replaying the same round sequence replays the same orders.
-var dispatchRound atomic.Uint64
-
-// RotatedOrder builds a dispatch order for an n-way round: a rotation
-// of [0,n) by the process-wide round counter, with indices isHot flags
-// moved to the back so saturated targets are contacted last (they still
-// run — results and error semantics never change, only the order the
-// calls leave). nil isHot just rotates.
-func RotatedOrder(n int, isHot func(i int) bool) []int {
-	if n <= 1 {
-		return nil
-	}
-	off := int(dispatchRound.Add(1) % uint64(n))
-	order := make([]int, 0, n)
-	var hot []int
-	for k := 0; k < n; k++ {
-		i := (k + off) % n
-		if isHot != nil && isHot(i) {
-			hot = append(hot, i)
-			continue
-		}
-		order = append(order, i)
-	}
-	return append(order, hot...)
-}
-
 // FanOut dispatches call(0) … call(n-1) with at most
 // min(fanoutWidth, n) calls in flight and returns the results in
 // index order, so callers merging rows or folding costs over the slots
@@ -94,23 +64,10 @@ func RotatedOrder(n int, isHot func(i int) bool) []int {
 // ErrSnapshotNewer still wins deterministically and the Definition-2
 // resubmission semantics are unchanged.
 func FanOut[T any](n int, call func(i int) (T, error)) ([]T, error) {
-	return FanOutOrdered(n, nil, call)
-}
-
-// FanOutOrdered is FanOut with an explicit dispatch order (a
-// permutation of [0,n), e.g. from RotatedOrder): workers pick indices
-// following order, but results are still returned in index order with
-// identical error semantics, so callers observe no difference beyond
-// which call leaves first. A nil or wrong-length order dispatches in
-// natural order — byte-identical to FanOut.
-func FanOutOrdered[T any](n int, order []int, call func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
 	width := min(fanoutWidth, n)
-	if len(order) != n {
-		order = nil
-	}
 	fanoutRounds.Inc()
 	slots := make([]T, n)
 	if width == 1 {
@@ -134,9 +91,6 @@ func FanOutOrdered[T any](n int, order []int, call func(i int) (T, error)) ([]T,
 			i := int(next.Add(1)) - 1
 			if i >= n {
 				return
-			}
-			if order != nil {
-				i = order[i]
 			}
 			if picked.CompareAndSwap(false, true) {
 				fanoutQueueWait.ObserveDuration(time.Since(roundStart))

@@ -193,112 +193,3 @@ func TestConcurrentExecutionDeterministic(t *testing.T) {
 		t.Error("every seed completed the calls in the same order; the delays reorder nothing")
 	}
 }
-
-// TestRotatedOrderPermutesAndDemotesHot: every RotatedOrder result is a
-// permutation of [0,n), successive calls rotate the starting index (no
-// clock, no RNG — just a counter), and peers marked hot always land at
-// the tail of the dispatch order.
-func TestRotatedOrderPermutesAndDemotesHot(t *testing.T) {
-	if got := RotatedOrder(0, nil); got != nil {
-		t.Errorf("RotatedOrder(0) = %v, want nil", got)
-	}
-	if got := RotatedOrder(1, nil); got != nil {
-		t.Errorf("RotatedOrder(1) = %v, want nil (single target needs no order)", got)
-	}
-
-	const n = 5
-	starts := make(map[int]bool)
-	for round := 0; round < 2*n; round++ {
-		order := RotatedOrder(n, nil)
-		if len(order) != n {
-			t.Fatalf("round %d: len = %d", round, len(order))
-		}
-		seen := make([]bool, n)
-		for _, i := range order {
-			if i < 0 || i >= n || seen[i] {
-				t.Fatalf("round %d: not a permutation: %v", round, order)
-			}
-			seen[i] = true
-		}
-		starts[order[0]] = true
-	}
-	if len(starts) != n {
-		t.Errorf("2n rounds started at %d distinct indices, want all %d", len(starts), n)
-	}
-
-	hot := func(i int) bool { return i == 2 }
-	for round := 0; round < n; round++ {
-		order := RotatedOrder(n, hot)
-		if order[n-1] != 2 {
-			t.Fatalf("hot index not last: %v", order)
-		}
-	}
-}
-
-// TestFanOutOrderedResultsIndexOrdered: an explicit dispatch order
-// changes which call starts first, never which slot a result lands in —
-// the ordered run is element-for-element identical to the natural one.
-// A malformed order (wrong length) falls back to natural dispatch.
-func TestFanOutOrderedResultsIndexOrdered(t *testing.T) {
-	call := func(i int) (int, error) { return i * 10, nil }
-	want, err := FanOut(6, call)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, order := range [][]int{
-		{5, 4, 3, 2, 1, 0},
-		{2, 0, 4, 1, 5, 3},
-		nil,
-		{1, 0}, // wrong length: ignored
-	} {
-		got, err := FanOutOrdered(6, order, call)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("order %v: results %v, want %v", order, got, want)
-		}
-	}
-	// A reversed dispatch order reaches index 4's error first; the
-	// index-1 error is still the one returned, and every call ran.
-	var calls atomic.Int32
-	low := errors.New("index 1")
-	_, err = FanOutOrdered(6, []int{5, 4, 3, 2, 1, 0}, func(i int) (int, error) {
-		calls.Add(1)
-		switch i {
-		case 1:
-			return 0, low
-		case 4:
-			return 0, errors.New("index 4")
-		}
-		return i, nil
-	})
-	if err != low || calls.Load() != 6 {
-		t.Errorf("reversed ordered run: err %v after %d calls, want the index-1 error after 6", err, calls.Load())
-	}
-}
-
-// TestDispatchOrderInertWithoutHotPeers: Options.DispatchOrder is the
-// bit-identical-when-off guarantee — no hot peers, or a single target,
-// yields a nil order (natural dispatch); with hot peers named, the
-// order is a permutation with every hot target demoted to the tail.
-func TestDispatchOrderInertWithoutHotPeers(t *testing.T) {
-	targets := []string{"p0", "p1", "p2", "p3"}
-	if got := (Options{}).DispatchOrder(targets); got != nil {
-		t.Errorf("no hot peers: order = %v, want nil", got)
-	}
-	if got := (Options{HotPeers: []string{"p9"}}).DispatchOrder(targets[:1]); got != nil {
-		t.Errorf("single target: order = %v, want nil", got)
-	}
-	o := Options{HotPeers: []string{"p1", "p3"}}
-	for round := 0; round < 4; round++ {
-		order := o.DispatchOrder(targets)
-		if len(order) != len(targets) {
-			t.Fatalf("order = %v", order)
-		}
-		last2 := map[string]bool{targets[order[2]]: true, targets[order[3]]: true}
-		if !last2["p1"] || !last2["p3"] {
-			t.Errorf("hot peers not demoted to the tail: %v", order)
-		}
-	}
-}

@@ -69,7 +69,7 @@ func (e *MapReduce) execute(stmt *sqldb.SelectStmt) (*QueryResult, error) {
 		sp := e.Span.StartChild("splits:"+a.ref.Table, telemetry.L("peers", fmt.Sprintf("%d", len(a.loc.Peers))))
 		defer sp.End()
 		req := SubQueryRequest{Stmt: sub, User: e.User, Timestamp: e.Timestamp, Trace: sp.Context(), StmtBytes: SubQueryBytes(sub)}
-		results, err := FanOutOrdered(len(a.loc.Peers), e.Opts.DispatchOrder(a.loc.Peers), func(i int) (*sqldb.Result, error) {
+		results, err := FanOut(len(a.loc.Peers), func(i int) (*sqldb.Result, error) {
 			return e.B.SubQuery(a.loc.Peers[i], req)
 		})
 		if err != nil {

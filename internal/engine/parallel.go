@@ -132,7 +132,7 @@ func (e *Parallel) execute(stmt *sqldb.SelectStmt) (*QueryResult, error) {
 		// parallel — and really do, through the fan-out pool).
 		task.ShippedBytes = shippedBytes
 		qr.Cost = qr.Cost.Add(rates.NetTransfer(shippedBytes * int64(len(a.loc.Peers))))
-		results, err := FanOutOrdered(len(a.loc.Peers), e.Opts.DispatchOrder(a.loc.Peers), func(i int) (*sqldb.Result, error) {
+		results, err := FanOut(len(a.loc.Peers), func(i int) (*sqldb.Result, error) {
 			return e.B.JoinAt(a.loc.Peers[i], task)
 		})
 		if err != nil {

@@ -86,11 +86,6 @@ type Peer struct {
 	pm   *peerMetrics
 	slow *slowLog
 	rep  reporterState
-
-	// advisory is the bootstrap's latest heat advisory: the peers whose
-	// overlay nodes are serving a hot index range. Query fan-out rounds
-	// dispatch to them last; an empty advisory keeps the natural order.
-	advisory atomic.Pointer[[]string]
 }
 
 // Join launches a cloud instance for the peer, admits it to the
@@ -195,11 +190,6 @@ func (p *Peer) registerHandlers() {
 		}
 		return pnet.Message{Payload: rep, Size: int64(64 + 48*len(rep.Delta.Points))}, nil
 	})
-	p.ep.HandleIdempotent(bootstrap.MsgHeatAdvisory, func(msg pnet.Message) (pnet.Message, error) {
-		hot, _ := msg.Payload.([]string)
-		p.advisory.Store(&hot)
-		return pnet.Message{}, nil
-	})
 	p.ep.HandleIdempotent(MsgSlowLog, p.handleSlowLog)
 	p.ep.HandleIdempotent(MsgExplain, p.handleExplain)
 	// The query-serving verbs are pure compute over the in-memory
@@ -220,20 +210,6 @@ func (p *Peer) DB() *sqldb.DB { return p.db }
 
 // Node returns the peer's overlay node.
 func (p *Peer) Node() *baton.Node { return p.node }
-
-// HotPeers returns the bootstrap's current heat advisory: peers to
-// dispatch to last in fan-out rounds. Nil/empty when no advisory is in
-// effect.
-func (p *Peer) HotPeers() []string {
-	if hot := p.advisory.Load(); hot != nil {
-		return *hot
-	}
-	return nil
-}
-
-// ServeCounts reports how many lookups this peer's overlay node served
-// from its own range vs from hosted hot-range replicas.
-func (p *Peer) ServeCounts() (local, replica int64) { return p.node.ServeCounts() }
 
 // Locator returns the peer's index locator.
 func (p *Peer) Locator() *indexer.Locator { return p.lc }

@@ -62,13 +62,6 @@ func (p *Peer) Query(sql, user string, strategy Strategy, opts engine.Options) (
 	} else {
 		telemetry.Default.Counter("peer_queries_total", telemetry.L("strategy", strategyName)).Inc()
 	}
-	// The bootstrap's heat advisory biases this query's fan-out dispatch
-	// away from saturated overlay owners. An explicit caller-set list
-	// wins; with no advisory in effect HotPeers stays empty and every
-	// round keeps its fixed natural order.
-	if len(opts.HotPeers) == 0 {
-		opts.HotPeers = p.HotPeers()
-	}
 	start := time.Now()
 	const maxAttempts = 3
 	var lastErr error
@@ -192,11 +185,8 @@ func (p *Peer) probeParticipants(table string) (indexer.Location, error) {
 		err   error
 	}
 	// The per-probe error travels in the slot so the fan-out drains every
-	// probe instead of failing the round. Probes to heat-saturated peers
-	// leave last (the advisory), which never changes the outcome: every
-	// probe still runs and slots stay in index order.
-	order := engine.Options{HotPeers: p.HotPeers()}.DispatchOrder(ids)
-	probes, _ := engine.FanOutOrdered(len(ids), order, func(i int) (probe, error) {
+	// probe instead of failing the round.
+	probes, _ := engine.FanOut(len(ids), func(i int) (probe, error) {
 		reply, err := p.ep.Call(ids[i], MsgHasTable, table, int64(len(table)))
 		if err != nil {
 			return probe{err: err}, nil

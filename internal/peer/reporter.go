@@ -21,12 +21,7 @@ type reporterState struct {
 	last       telemetry.RegistrySnapshot
 	lastFan    telemetry.HistogramSnapshot
 	lastAccess map[string]int64 // "table\x00path" -> last shipped total
-	// lastLocal/lastReplica are the overlay node's serve counters at
-	// the last delivered report (peer_lookups_served_total /
-	// peer_replica_reads_total baselines).
-	lastLocal   int64
-	lastReplica int64
-	seq         uint64
+	seq        uint64
 }
 
 // ReportTelemetry pushes one delta report to the bootstrap. The
@@ -71,23 +66,6 @@ func (p *Peer) ReportTelemetry() error {
 		delta.Sort()
 	}
 
-	// Overlay serve counters (own items vs hosted hot-range replicas)
-	// live on the baton node; inject their deltas so the collector can
-	// derive each peer's replica-read share.
-	local, replica := p.node.ServeCounts()
-	if d := local - p.rep.lastLocal; d > 0 {
-		delta.Points = append(delta.Points, telemetry.PointSnapshot{
-			Name: "peer_lookups_served_total", Kind: "counter", Value: float64(d),
-		})
-		delta.Sort()
-	}
-	if d := replica - p.rep.lastReplica; d > 0 {
-		delta.Points = append(delta.Points, telemetry.PointSnapshot{
-			Name: "peer_replica_reads_total", Kind: "counter", Value: float64(d),
-		})
-		delta.Sort()
-	}
-
 	rep := telemetry.Report{Peer: p.id, Seq: p.rep.seq + 1, Delta: delta}
 	size := int64(64 + 48*len(rep.Delta.Points))
 	if _, err := p.ep.Call(p.env.Bootstrap.ID(), bootstrap.MsgTelemetryReport, rep, size); err != nil {
@@ -96,8 +74,6 @@ func (p *Peer) ReportTelemetry() error {
 	p.rep.last = cur
 	p.rep.lastFan = fan
 	p.rep.lastAccess = accessTotals
-	p.rep.lastLocal = local
-	p.rep.lastReplica = replica
 	p.rep.seq++
 	return nil
 }

@@ -31,7 +31,6 @@ type peerMetrics struct {
 	rowsScanned *telemetry.Counter
 	shuffle     *telemetry.Counter
 	keyHeat     *telemetry.Heatmap
-	indexHeat   *telemetry.Heatmap
 
 	dest sync.Map // destination id -> *destCounters
 }
@@ -55,7 +54,6 @@ func newPeerMetrics() *peerMetrics {
 		rowsScanned: reg.Counter("peer_rows_scanned_total"),
 		shuffle:     reg.Counter("peer_shuffle_bytes_total"),
 		keyHeat:     reg.Heatmap("peer_key_heat", telemetry.DefaultHeatBuckets),
-		indexHeat:   reg.Heatmap("peer_index_heat", telemetry.DefaultHeatBuckets),
 	}
 	reg.SetHelp("peer_queries_total", "Queries this peer coordinated.")
 	reg.SetHelp("peer_query_errors_total", "Coordinated queries that returned an error.")
@@ -63,7 +61,6 @@ func newPeerMetrics() *peerMetrics {
 	reg.SetHelp("peer_rows_scanned_total", "Rows scanned across all peers on this peer's behalf.")
 	reg.SetHelp("peer_shuffle_bytes_total", "Bytes shipped between peers for this peer's queries.")
 	reg.SetHelp("peer_key_heat", "Access heat over the BATON key space served by this peer.")
-	reg.SetHelp("peer_index_heat", "Overlay index-serving heat: key-space buckets of the lookup hops this peer's overlay node served or forwarded.")
 	reg.SetHelp("peer_rpc_calls_total", "Sender-side RPC attempts by destination.")
 	reg.SetHelp("peer_rpc_errors_total", "Sender-side RPC failures by destination.")
 	return m
@@ -86,16 +83,11 @@ func (m *peerMetrics) destOf(to string) *destCounters {
 func (p *Peer) initTelemetry() {
 	p.pm = newPeerMetrics()
 	p.slow = newSlowLog(DefaultSlowQueryThreshold)
-	// Two separate heat families, because they answer different
-	// questions. peer_key_heat carries only data-access attribution
-	// (recordStmtHeat): which key ranges the *workload* touches,
-	// regardless of which node routed the lookup. peer_index_heat is the
-	// overlay node's own serving heat — every lookup hop this node
-	// serves or forwards — which is what the mitigation plane needs:
-	// index lookups key on table/column names, so a popular table
-	// funnels its whole lookup load onto one owner, and only the
-	// per-node serving heat shows which peer is drowning.
-	p.node.SetHeatmap(p.pm.indexHeat)
+	// The reported peer_key_heat carries only data-access attribution
+	// (recordStmtHeat): overlay routing hops stay in the process-wide
+	// baton_key_heat, because index lookups key on table/column names —
+	// one fixed key per table, hammered once per query — which would
+	// light a bucket regardless of which data the workload touches.
 	p.ep.SetCallObserver(func(to, _ string, _ time.Duration, err error) {
 		d := p.pm.destOf(to)
 		d.calls.Inc()

@@ -44,20 +44,6 @@ type ShipdateWorkload struct {
 // heat bucket of the 64-bucket key space. Otherwise starts are uniform
 // over the whole domain.
 func NewShipdateWorkload(seed int64, zipfian bool, windowDays int) *ShipdateWorkload {
-	s := 0.0
-	if zipfian {
-		s = DefaultZipfSkew
-	}
-	return NewShipdateWorkloadSkew(seed, s, windowDays)
-}
-
-// DefaultZipfSkew is the Zipf exponent the boolean constructor uses.
-const DefaultZipfSkew = 1.5
-
-// NewShipdateWorkloadSkew builds a generator with an explicit Zipf
-// exponent: window starts follow P(k) ∝ (1+k)^-s. rand.Zipf requires
-// s > 1, so any skew at or below 1 means uniform placement.
-func NewShipdateWorkloadSkew(seed int64, skew float64, windowDays int) *ShipdateWorkload {
 	if windowDays < 1 {
 		windowDays = 7
 	}
@@ -69,8 +55,8 @@ func NewShipdateWorkloadSkew(seed int64, skew float64, windowDays int) *Shipdate
 	if w.span < 0 {
 		w.span = 0
 	}
-	if skew > 1 {
-		w.zipf = rand.NewZipf(w.rng, skew, 1, uint64(w.span))
+	if zipfian {
+		w.zipf = rand.NewZipf(w.rng, 1.5, 1, uint64(w.span))
 	}
 	return w
 }
