@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: verify build fmt vet test race chaos bench-check bench cover
+.PHONY: verify build fmt vet test race chaos bench-check bench cover lines
 
 verify: build fmt vet race chaos bench-check
 
@@ -49,3 +49,11 @@ bench:
 # baseline lives in EXPERIMENTS.md).
 cover:
 	$(GO) test -count=1 -cover ./... | grep -v 'no test files'
+
+# Non-test Go lines per package directory and in total, outside the
+# benchmark/ module (find ... ! -name '*_test.go' | xargs cat | wc -l):
+# the size figure deletion changes report. Not part of the verify gate.
+lines:
+	@for d in $$(find . -path ./benchmark -prune -o -name '*.go' ! -name '*_test.go' -print | xargs -n1 dirname | sort -u); do \
+		printf '%7d %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) "$$d"; done
+	@printf '%7d total\n' $$(find . -path ./benchmark -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)

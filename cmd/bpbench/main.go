@@ -27,18 +27,15 @@ func main() {
 	sf := flag.Float64("sf", 0.0004, "TPC-H scale factor contributed per node")
 	seed := flag.Int64("seed", 1, "throughput simulator seed")
 	gb := flag.Float64("gb", 1.0, "virtual data volume per node in GB (0 = real partition size)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and /metrics on this address")
+	startPprof := telemetry.PprofFlag(flag.CommandLine)
 	flag.Parse()
 
-	if *pprofAddr != "" {
-		addr, closeDebug, err := telemetry.StartDebugServer(*pprofAddr, nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bpbench: pprof: %v\n", err)
-			os.Exit(1)
-		}
-		defer closeDebug()
-		fmt.Fprintf(os.Stderr, "pprof+metrics on http://%s/debug/pprof/\n", addr)
+	stopPprof, err := startPprof()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bpbench: %v\n", err)
+		os.Exit(1)
 	}
+	defer stopPprof()
 
 	cfg := bench.Config{PerNodeSF: *sf, Seed: *seed, TargetPerNodeBytes: *gb * 1e9}
 	for _, part := range strings.Split(*nodes, ",") {

@@ -63,17 +63,14 @@ func main() {
 	sessionMode := flag.Bool("session", false, "query through a serving-tier session instead of a raw subquery")
 	class := flag.String("class", "interactive", "admission class for -session (interactive|batch)")
 	repeat := flag.Int("repeat", 1, "with -session: issue the query this many times")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and /metrics on this address")
+	startPprof := telemetry.PprofFlag(flag.CommandLine)
 	flag.Parse()
 
-	if *pprofAddr != "" {
-		addr, closeDebug, err := telemetry.StartDebugServer(*pprofAddr, nil)
-		if err != nil {
-			fatal(err)
-		}
-		defer closeDebug()
-		fmt.Fprintf(os.Stderr, "pprof+metrics on http://%s/debug/pprof/\n", addr)
+	stopPprof, err := startPprof()
+	if err != nil {
+		fatal(err)
 	}
+	defer stopPprof()
 
 	switch {
 	case *serve != "":

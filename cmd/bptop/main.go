@@ -3,8 +3,8 @@
 // loads TPC-H, drives a background query workload, and redraws the
 // bootstrap collector's per-peer health table every refresh — health
 // score, QPS, p99 query latency, error and RPC-failure rates, rows
-// scanned, shuffle volume, fan-out queue wait, serving shed rate,
-// key-space heat skew, and last-report age.
+// scanned, shuffle volume, fan-out queue wait, serving shed rate and
+// last-report age.
 //
 // Usage:
 //
@@ -15,11 +15,9 @@
 // monitoring plane reacting live: the victim's last-report age grows,
 // other peers' sender-side RPC failures drag its health score down, and
 // the next maintenance epoch fails it over (the event line names the
-// signal that fired). The HEAT column and the key-heat bar show where
-// the workload's accesses concentrate; a hotspot event row names a range
-// once its skew crosses the threshold. -frames N renders N frames and
-// exits, making the dashboard scriptable; -prom dumps the merged
-// cluster-wide Prometheus-style exposition on exit.
+// signal that fired). -frames N renders N frames and exits, making the
+// dashboard scriptable; -prom dumps the merged cluster-wide
+// Prometheus-style exposition on exit.
 package main
 
 import (
@@ -47,17 +45,14 @@ func main() {
 	frames := flag.Int("frames", 0, "render this many frames then exit (0 = until interrupted)")
 	crash := flag.Duration("crash", 0, "crash one peer after this long (0 = never)")
 	prom := flag.Bool("prom", false, "print the merged cluster exposition on exit")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and /metrics on this address")
+	startPprof := telemetry.PprofFlag(flag.CommandLine)
 	flag.Parse()
 
-	if *pprofAddr != "" {
-		addr, closeDebug, err := telemetry.StartDebugServer(*pprofAddr, nil)
-		if err != nil {
-			fatal(err)
-		}
-		defer closeDebug()
-		fmt.Fprintf(os.Stderr, "pprof+metrics on http://%s/debug/pprof/\n", addr)
+	stopPprof, err := startPprof()
+	if err != nil {
+		fatal(err)
 	}
+	defer stopPprof()
 
 	fmt.Fprintf(os.Stderr, "starting %d-peer network with TPC-H sf=%g ...\n", *peers, *sf)
 	net, err := bestpeer.NewNetwork(bestpeer.Config{
@@ -75,14 +70,6 @@ func main() {
 	// real session so the dashboard's serving line and SHED% column have
 	// live numbers.
 	net.EnableServing(serving.Config{})
-
-	// Publish the shipdate stats domain so the workload's window scans
-	// attribute into the heat plane — the HEAT column and key-heat bar
-	// below stay empty without it.
-	shipLo, shipHi := tpch.ShipdateDomain()
-	net.Bootstrap.DefineStatsDomain(tpch.LineItem, bootstrap.StatsDomainRecord{
-		Columns: []string{"l_shipdate"}, Lo: []float64{shipLo}, Hi: []float64{shipHi},
-	})
 
 	stopReporters := net.StartTelemetryReporters(*report)
 	defer stopReporters()
@@ -102,8 +89,7 @@ func main() {
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
-			// Zipfian shipdate windows interleave with the fixed rotation:
-			// the skewed key-range traffic the heat bar is there to show.
+			// Zipfian shipdate windows interleave with the fixed rotation.
 			zipf := tpch.NewShipdateWorkload(int64(w)+1, true, 7)
 			nextQuery := func(i int) string {
 				if i%2 == 1 {
@@ -215,9 +201,6 @@ func render(net *bestpeer.Network, start time.Time) {
 	fmt.Printf("bptop — %d peers reporting, up %v\n\n",
 		len(c.Peers()), now.Sub(start).Round(time.Second))
 	fmt.Print(bootstrap.RenderDashboard(c.Healths(), now))
-	// Cluster-wide key-space heat: every reporting peer's heat vector
-	// summed, sparkline over the BATON key space.
-	fmt.Print(bootstrap.RenderHeatBar(c.ClusterHeat()))
 	// Compiled-executor summary: all in-process peers share the default
 	// registry, so the counters aggregate across the whole network.
 	hits := telemetry.Default.Counter("sqldb_plan_cache_hits_total").Value()

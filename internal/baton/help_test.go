@@ -8,9 +8,8 @@ import (
 )
 
 // TestEveryBatonMetricHasHelp exercises the overlay enough to create
-// every baton_* family — key heat via mutations and lookups, the
-// adjacent-replica push counters via inserts — then fails if any
-// renders without a # HELP line.
+// every baton_* family — the adjacent-replica push counters via
+// inserts — then fails if any renders without a # HELP line.
 func TestEveryBatonMetricHasHelp(t *testing.T) {
 	_, nodes, _ := testOverlay(t, 4)
 	name := "help:doc"

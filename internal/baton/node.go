@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"bestpeer/internal/pnet"
-	"bestpeer/internal/telemetry"
 )
 
 // Item is one entry stored in the overlay: an index entry, a histogram
@@ -137,26 +136,6 @@ type Node struct {
 	push   pushState
 }
 
-// processHeat aggregates overlay key traffic process-wide (the
-// /metrics view every node in the process shares).
-var processHeat = telemetry.Default.Heatmap("baton_key_heat", telemetry.DefaultHeatBuckets)
-
-func init() {
-	telemetry.Default.SetHelp("baton_key_heat",
-		"Overlay query-path hops per key-space bucket [lo,hi) across all nodes in the process.")
-}
-
-// recordKey accounts one query-path hop (lookup, insert or delete) at
-// key k.
-func (n *Node) recordKey(k Key) {
-	processHeat.Record(float64(k))
-}
-
-// recordRange accounts one range-search hop over r.
-func (n *Node) recordRange(r KeyRange) {
-	processHeat.RecordRange(float64(r.Lo), float64(r.Hi))
-}
-
 // NewNode attaches a new overlay node to a pnet endpoint and registers
 // its message handlers. The node is inert until the Overlay manager
 // installs its state via AddNode. Read-only verbs (lookup, range,
@@ -252,7 +231,6 @@ func (n *Node) routeNext(k Key) string {
 
 func (n *Node) handleLookup(msg pnet.Message) (pnet.Message, error) {
 	req := msg.Payload.(lookupReq)
-	n.recordKey(req.Key)
 	n.mu.RLock()
 	next := n.routeNext(req.Key)
 	n.mu.RUnlock()
@@ -279,7 +257,6 @@ func (n *Node) handleLookup(msg pnet.Message) (pnet.Message, error) {
 
 func (n *Node) handleInsert(msg pnet.Message) (pnet.Message, error) {
 	req := msg.Payload.(insertReq)
-	n.recordKey(req.Item.Key)
 	n.mu.RLock()
 	next := n.routeNext(req.Item.Key)
 	n.mu.RUnlock()
@@ -298,7 +275,6 @@ func (n *Node) handleInsert(msg pnet.Message) (pnet.Message, error) {
 
 func (n *Node) handleDelete(msg pnet.Message) (pnet.Message, error) {
 	req := msg.Payload.(deleteReq)
-	n.recordKey(req.Key)
 	n.mu.RLock()
 	next := n.routeNext(req.Key)
 	n.mu.RUnlock()
@@ -334,7 +310,6 @@ func (n *Node) handleDelete(msg pnet.Message) (pnet.Message, error) {
 // matches into the reply.
 func (n *Node) handleRange(msg pnet.Message) (pnet.Message, error) {
 	req := msg.Payload.(rangeReq)
-	n.recordRange(req.Range)
 	n.mu.RLock()
 	next := n.routeNext(req.Range.Lo)
 	n.mu.RUnlock()

@@ -24,7 +24,6 @@ func init() {
 		"bootstrap_maintenance_epochs_total": "Algorithm 1 maintenance epochs executed.",
 		"bootstrap_failovers_total":          "Fail-overs triggered by cloud metrics or aggregated telemetry.",
 		"bootstrap_scaleups_total":           "Auto-scaling actions triggered by CPU, storage, or p99 latency.",
-		"bootstrap_hotspots_total":           "Hot key ranges detected on their rising edge.",
 	} {
 		d.Counter(name)
 		d.SetHelp(name, help)
@@ -80,7 +79,7 @@ func (f FailoverFunc) Failover(failedID string) (string, ed25519.PublicKey, erro
 // Event is one entry of the bootstrap's administrative log.
 type Event struct {
 	At   time.Duration
-	Kind string // "join", "leave", "failover", "scaleup", "hotspot", "release", "notify"
+	Kind string // "join", "leave", "failover", "scaleup", "release", "notify"
 	Peer string
 	Note string
 }
@@ -109,13 +108,6 @@ type Thresholds struct {
 	// QueryP99High triggers auto-scaling when a peer's windowed p99
 	// query wall time reaches it (0 disables the latency signal).
 	QueryP99High time.Duration
-	// HeatSkewHigh triggers a hotspot event when a cluster heat bucket's
-	// skew — its access share times the bucket count, so 1.0 is the
-	// uniform expectation — reaches it (0 disables heat detection).
-	HeatSkewHigh float64
-	// MinHeatSamples is the minimum cluster-wide access count before
-	// HeatSkewHigh is trusted (a handful of accesses is always skewed).
-	MinHeatSamples int64
 }
 
 // DefaultThresholds returns sensible monitor thresholds.
@@ -126,8 +118,6 @@ func DefaultThresholds() Thresholds {
 		RPCFailureRateHigh:  0.5,
 		MinRPCCalls:         8,
 		QueryP99High:        2 * time.Second,
-		HeatSkewHigh:        8,
-		MinHeatSamples:      64,
 	}
 }
 
@@ -150,26 +140,21 @@ type Peer struct {
 	users     map[string]string // user -> role, network-wide directory
 	events    []Event
 	clock     time.Duration
-	// hotBuckets holds the key-space buckets currently over the hotspot
-	// threshold, so the daemon logs each hot range once on its rising
-	// edge instead of every epoch it stays hot.
-	hotBuckets map[int]bool
 }
 
 // New creates a bootstrap peer attached to the network.
 func New(net *pnet.Network, id string, provider *cloud.SimProvider) (*Peer, error) {
 	b := &Peer{
-		ep:         net.Join(id),
-		provider:   provider,
-		thresh:     DefaultThresholds(),
-		collector:  NewCollector(),
-		peers:      make(map[string]*PeerRecord),
-		blacklist:  make(map[string]Certificate),
-		schemas:    make(map[string]*sqldb.Schema),
-		stats:      make(map[string]StatsDomainRecord),
-		roles:      accesscontrol.NewRegistry(),
-		users:      make(map[string]string),
-		hotBuckets: make(map[int]bool),
+		ep:        net.Join(id),
+		provider:  provider,
+		thresh:    DefaultThresholds(),
+		collector: NewCollector(),
+		peers:     make(map[string]*PeerRecord),
+		blacklist: make(map[string]Certificate),
+		schemas:   make(map[string]*sqldb.Schema),
+		stats:     make(map[string]StatsDomainRecord),
+		roles:     accesscontrol.NewRegistry(),
+		users:     make(map[string]string),
 	}
 	ca, err := NewCertAuthority(func() time.Duration {
 		b.mu.Lock()
@@ -535,14 +520,6 @@ func (b *Peer) RunMaintenanceEpoch(advance time.Duration) error {
 		}
 	}
 
-	// Hot-range detection: scan the collector's cluster-wide heat vector
-	// for key-space buckets whose access share exceeds the skew
-	// threshold, and log each one once on its rising edge. Detection
-	// only — the event names the range and the hottest peer so an
-	// operator (or a future rebalancer) knows where to look; nothing
-	// here moves data.
-	b.detectHotspots()
-
 	// Release blacklisted resources (line 18).
 	b.mu.Lock()
 	released := make([]string, 0, len(b.blacklist))
@@ -582,33 +559,6 @@ func (b *Peer) RunMaintenanceEpoch(advance time.Duration) error {
 		b.mu.Unlock()
 	}
 	return nil
-}
-
-// detectHotspots runs one epoch's hot-range scan and logs rising-edge
-// hotspot events. Buckets that cooled below the threshold are forgotten
-// so they log again if they re-heat.
-func (b *Peer) detectHotspots() {
-	if b.thresh.HeatSkewHigh <= 0 {
-		return
-	}
-	hot := b.collector.HotRanges(b.thresh.HeatSkewHigh, b.thresh.MinHeatSamples)
-	cur := make(map[int]bool, len(hot))
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, r := range hot {
-		cur[r.Bucket] = true
-		if b.hotBuckets[r.Bucket] {
-			continue // still hot: already logged on its rising edge
-		}
-		telemetry.Default.Counter("bootstrap_hotspots_total").Inc()
-		note := fmt.Sprintf("telemetry: keys [%.3f,%.3f) share=%.0f%% skew=%.1fx n=%d",
-			r.Lo, r.Hi, 100*r.Share, r.Skew, r.Samples)
-		if r.TopPeer != "" {
-			note += " top=" + r.TopPeer
-		}
-		b.logEvent("hotspot", r.TopPeer, note)
-	}
-	b.hotBuckets = cur
 }
 
 // instanceIDFor derives the cloud instance ID for a peer. The network

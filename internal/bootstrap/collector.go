@@ -37,7 +37,6 @@ type windowSample struct {
 	latency      telemetry.HistogramSnapshot
 	queue        telemetry.HistogramSnapshot
 	servingQueue telemetry.HistogramSnapshot
-	heat         telemetry.HeatmapSnapshot
 	rpcCalls     map[string]int64 // destination -> calls this delta
 	rpcErrs      map[string]int64
 }
@@ -82,15 +81,6 @@ type PeerHealth struct {
 	ServingAdmitted int64
 	ServingShed     int64
 	ServingShedRate float64
-	// HeatSkew is the peer's windowed key-space skew score: the hottest
-	// bucket's share of accesses times the bucket count, so 1.0 means a
-	// uniform spread and N means every access hit one bucket. HeatShare
-	// and HotBucket name the hottest bucket, HeatSamples the evidence
-	// behind them. All zero for peers that recorded no heat.
-	HeatSkew    float64
-	HeatShare   float64
-	HotBucket   int
-	HeatSamples int64
 	// LastReport is when the peer's latest report arrived; Reports
 	// counts all absorbed reports.
 	LastReport time.Time
@@ -147,10 +137,6 @@ func (c *Collector) Absorb(rep telemetry.Report) error {
 		case "peer_serving_queue_seconds":
 			if p.Hist != nil {
 				s.servingQueue = *p.Hist
-			}
-		case "peer_key_heat":
-			if p.Heat != nil {
-				s.heat = *p.Heat
 			}
 		case "peer_serving_admitted_total":
 			s.admitted += int64(p.Value)
@@ -235,7 +221,6 @@ func (c *Collector) Health(peer string) (PeerHealth, bool) {
 	lat := telemetry.HistogramSnapshot{}
 	queue := telemetry.HistogramSnapshot{}
 	servingQueue := telemetry.HistogramSnapshot{}
-	heat := telemetry.HeatmapSnapshot{}
 	for _, s := range w.ring {
 		queries += s.queries
 		errs += s.errors
@@ -246,11 +231,6 @@ func (c *Collector) Health(peer string) (PeerHealth, bool) {
 		lat = addHist(lat, s.latency)
 		queue = addHist(queue, s.queue)
 		servingQueue = addHist(servingQueue, s.servingQueue)
-		heat = heat.Add(s.heat)
-	}
-	if h.HeatSamples = heat.Count(); h.HeatSamples > 0 {
-		h.HotBucket, h.HeatShare = heat.Top()
-		h.HeatSkew = heat.Skew()
 	}
 	if queries > 0 {
 		h.ErrorRate = float64(errs) / float64(queries)
@@ -336,91 +316,6 @@ func (c *Collector) Healths() []PeerHealth {
 		}
 	}
 	return out
-}
-
-// ClusterHeat sums every peer's windowed heat vector into one
-// cluster-wide view of the BATON key space.
-func (c *Collector) ClusterHeat() telemetry.HeatmapSnapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := telemetry.HeatmapSnapshot{}
-	for _, w := range c.windows {
-		for _, s := range w.ring {
-			out = out.Add(s.heat)
-		}
-	}
-	return out
-}
-
-// HotRange is one detected hot region of the key space: a bucket whose
-// share of cluster-wide accesses exceeds the uniform expectation by the
-// skew threshold, with the peer contributing the most heat to it named
-// for the event note.
-type HotRange struct {
-	Bucket  int
-	Lo, Hi  float64 // key-space interval [Lo,Hi)
-	Share   float64 // bucket's share of all windowed accesses
-	Skew    float64 // Share × bucket count (1.0 = uniform expectation)
-	Samples int64   // accesses in the bucket
-	TopPeer string  // peer contributing the most heat to the bucket
-}
-
-// HotRanges scans the cluster heat vector for buckets whose skew
-// exceeds minSkew, ignoring vectors with fewer than minSamples total
-// accesses (cold clusters produce degenerate shares). Results are
-// hottest-first. Detection only — nothing here moves data.
-func (c *Collector) HotRanges(minSkew float64, minSamples int64) []HotRange {
-	heat := c.ClusterHeat()
-	n := len(heat.Buckets)
-	total := heat.Count()
-	if n == 0 || total < minSamples || total == 0 {
-		return nil
-	}
-	var out []HotRange
-	for i, cnt := range heat.Buckets {
-		share := float64(cnt) / float64(total)
-		skew := share * float64(n)
-		if skew < minSkew {
-			continue
-		}
-		lo, hi := telemetry.HeatBucketRange(i, n)
-		out = append(out, HotRange{
-			Bucket: i, Lo: lo, Hi: hi,
-			Share: share, Skew: skew, Samples: cnt,
-			TopPeer: c.topHeatPeer(i),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Samples > out[j].Samples })
-	return out
-}
-
-// topHeatPeer names the peer whose window contributed the most heat to
-// one bucket (ties break to the lexically smaller ID for determinism).
-func (c *Collector) topHeatPeer(bucket int) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var top string
-	var max int64 = -1
-	ids := make([]string, 0, len(c.windows))
-	for id := range c.windows {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		var sum int64
-		for _, s := range c.windows[id].ring {
-			if bucket < len(s.heat.Buckets) {
-				sum += s.heat.Buckets[bucket]
-			}
-		}
-		if sum > max {
-			max, top = sum, id
-		}
-	}
-	if max <= 0 {
-		return ""
-	}
-	return top
 }
 
 // Cluster returns the merged cluster registry.

@@ -149,7 +149,7 @@ func TestRenderDashboardEightPeers(t *testing.T) {
 	if len(lines) != 9 { // header + 8 peers
 		t.Fatalf("dashboard lines = %d:\n%s", len(lines), frame)
 	}
-	wantCols := []string{"PEER", "HEALTH", "QPS", "P99", "ERR%", "RPCFAIL", "ROWS", "SHUFFLE", "QWAIT", "SHED%", "HEAT", "AGE"}
+	wantCols := []string{"PEER", "HEALTH", "QPS", "P99", "ERR%", "RPCFAIL", "ROWS", "SHUFFLE", "QWAIT", "SHED%", "AGE"}
 	if got := strings.Fields(lines[0]); strings.Join(got, " ") != strings.Join(wantCols, " ") {
 		t.Errorf("header columns = %q, want %q", got, wantCols)
 	}

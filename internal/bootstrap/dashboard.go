@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"time"
-
-	"bestpeer/internal/telemetry"
 )
 
 // RenderDashboard formats the collector's per-peer health table — the
@@ -13,10 +11,10 @@ import (
 // layout is unit-testable without a network.
 func RenderDashboard(healths []PeerHealth, now time.Time) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-16s %6s %7s %8s %6s %8s %12s %10s %8s %6s %6s %6s\n",
-		"PEER", "HEALTH", "QPS", "P99", "ERR%", "RPCFAIL", "ROWS", "SHUFFLE", "QWAIT", "SHED%", "HEAT", "AGE")
+	fmt.Fprintf(&b, "%-16s %6s %7s %8s %6s %8s %12s %10s %8s %6s %6s\n",
+		"PEER", "HEALTH", "QPS", "P99", "ERR%", "RPCFAIL", "ROWS", "SHUFFLE", "QWAIT", "SHED%", "AGE")
 	for _, h := range healths {
-		fmt.Fprintf(&b, "%-16s %6.2f %7.1f %8s %5.1f%% %7.1f%% %12d %10s %8s %5.1f%% %6s %6s\n",
+		fmt.Fprintf(&b, "%-16s %6.2f %7.1f %8s %5.1f%% %7.1f%% %12d %10s %8s %5.1f%% %6s\n",
 			h.Peer,
 			h.Score,
 			h.QPS,
@@ -27,58 +25,11 @@ func RenderDashboard(healths []PeerHealth, now time.Time) string {
 			humanBytes(h.ShuffleBytes),
 			shortDuration(time.Duration(h.QueueWaitP95*float64(time.Second))),
 			100*h.ServingShedRate,
-			heatCell(h),
 			reportAge(h.LastReport, now))
 	}
 	if len(healths) == 0 {
 		b.WriteString("(no peers have reported yet)\n")
 	}
-	return b.String()
-}
-
-// heatCell renders a peer's key-space skew score ("3.2x" = the hottest
-// bucket runs at 3.2 times the uniform expectation; "-" = no heat
-// recorded in the window).
-func heatCell(h PeerHealth) string {
-	if h.HeatSamples == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.1fx", h.HeatSkew)
-}
-
-// heatBarGlyphs are the spark levels of the key-space heat bar, coldest
-// to hottest.
-var heatBarGlyphs = []rune("▁▂▃▄▅▆▇█")
-
-// RenderHeatBar draws the cluster heat vector as one spark line over
-// the BATON key space [0,1), each glyph scaled against the hottest
-// bucket, followed by the skew summary. Pure function, like the
-// dashboard table.
-func RenderHeatBar(heat telemetry.HeatmapSnapshot) string {
-	total := heat.Count()
-	if total == 0 || len(heat.Buckets) == 0 {
-		return "KEY HEAT (no accesses recorded)\n"
-	}
-	var max int64
-	for _, c := range heat.Buckets {
-		if c > max {
-			max = c
-		}
-	}
-	var b strings.Builder
-	b.WriteString("KEY HEAT 0.0 ")
-	for _, c := range heat.Buckets {
-		if c == 0 {
-			b.WriteRune(' ')
-			continue
-		}
-		lvl := int(int64(len(heatBarGlyphs)-1) * c / max)
-		b.WriteRune(heatBarGlyphs[lvl])
-	}
-	bucket, share := heat.Top()
-	lo, hi := telemetry.HeatBucketRange(bucket, len(heat.Buckets))
-	fmt.Fprintf(&b, " 1.0  n=%d top=[%.3f,%.3f) share=%.0f%% skew=%.1fx\n",
-		total, lo, hi, 100*share, heat.Skew())
 	return b.String()
 }
 

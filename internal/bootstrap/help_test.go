@@ -20,7 +20,7 @@ func TestEveryBootstrapMetricHasHelp(t *testing.T) {
 	joinPeer(t, b, provider, net, "help-peer")
 	if _, err := b.handleTelemetryReport(pnet.Message{Payload: telemetry.Report{
 		Peer: "help-peer", Seq: 1,
-		Delta: telemetry.RegistrySnapshot{Points: []telemetry.PointSnapshot{heatPoint(1, 1, 1, 1, 1, 1, 1, 1)}},
+		Delta: telemetry.RegistrySnapshot{Points: []telemetry.PointSnapshot{counterPoint("peer_queries_total", 1)}},
 	}}); err != nil {
 		t.Fatal(err)
 	}

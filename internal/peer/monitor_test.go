@@ -55,6 +55,38 @@ func TestSlowLogCapturesAndServes(t *testing.T) {
 	}
 }
 
+// TestSlowQueryLinksTraceToTailExemplar pins the link between the two
+// latency views: a slow query's log entry carries the trace ID that the
+// latency histogram's tail exemplar holds, so a p99 overrun on the
+// dashboard finds its replayable trace in the slow log.
+func TestSlowQueryLinksTraceToTailExemplar(t *testing.T) {
+	env := testEnv(t)
+	peers := joinLoaded(t, env, 2, 0.002)
+	p := peers[0]
+	p.SetSlowQueryThreshold(time.Nanosecond) // capture everything
+
+	sql := `SELECT COUNT(*) FROM lineitem WHERE l_shipdate >= DATE '1993-01-01' AND l_shipdate < DATE '1993-03-01'`
+	if _, err := p.Query(sql, "", StrategyBasic, engine.Options{}); err != nil {
+		t.Fatal(err)
+	}
+
+	entries := p.SlowQueries()
+	if len(entries) == 0 {
+		t.Fatal("no slow-query entries captured")
+	}
+	e := entries[len(entries)-1]
+	if e.TraceID == 0 {
+		t.Fatal("slow-query entry has no trace ID")
+	}
+	ex, ok := p.Metrics().Histogram("peer_query_seconds", nil).TailExemplar()
+	if !ok {
+		t.Fatal("latency histogram has no exemplar")
+	}
+	if ex.TraceID != e.TraceID {
+		t.Errorf("tail exemplar trace %016x != slow-log trace %016x", ex.TraceID, e.TraceID)
+	}
+}
+
 // TestNoSpanLeakThroughOutage is the regression test for span handling
 // on RPC error paths: a query whose data scope goes dark mid-plan must
 // fail cleanly AND leave no span open in its trace.

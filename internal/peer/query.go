@@ -91,7 +91,6 @@ func (p *Peer) Query(sql, user string, strategy Strategy, opts engine.Options) (
 				rowsScanned:   res.RowsScanned,
 				bytesFetched:  res.BytesFetched,
 			}
-			out.tables, out.keyLo, out.keyHi, out.hasKeyRange = p.stmtKeyRange(stmt)
 			p.recordQuery(sql, user, time.Since(start), out, nil, root)
 			return res, nil
 		}
@@ -309,9 +308,6 @@ func (p *Peer) handleSubQuery(msg pnet.Message) (pnet.Message, error) {
 		sp.SetError(err)
 		return pnet.Message{}, err
 	}
-	// Only the data owner heats the key range — the coordinator does
-	// not, so one logical access counts once cluster-wide.
-	p.recordStmtHeat(req.Stmt)
 	engine.ApplyBloomToResult(res, req.BloomColumn, req.Bloom)
 	if role != nil && len(req.Stmt.From) == 1 {
 		accesscontrol.MaskRows(role, req.Stmt.From[0].Table, res.Columns, res.Rows)
@@ -347,7 +343,6 @@ func (p *Peer) handleJoinTask(msg pnet.Message) (pnet.Message, error) {
 		sp.SetError(err)
 		return pnet.Message{}, err
 	}
-	p.recordStmtHeat(task.Local.Stmt)
 	if role != nil && len(task.Local.Stmt.From) == 1 {
 		accesscontrol.MaskRows(role, task.Local.Stmt.From[0].Table, local.Columns, local.Rows)
 	}

@@ -17,11 +17,10 @@ import (
 
 // reporterState tracks what the previous report already shipped.
 type reporterState struct {
-	mu         sync.Mutex
-	last       telemetry.RegistrySnapshot
-	lastFan    telemetry.HistogramSnapshot
-	lastAccess map[string]int64 // "table\x00path" -> last shipped total
-	seq        uint64
+	mu      sync.Mutex
+	last    telemetry.RegistrySnapshot
+	lastFan telemetry.HistogramSnapshot
+	seq     uint64
 }
 
 // ReportTelemetry pushes one delta report to the bootstrap. The
@@ -56,16 +55,6 @@ func (p *Peer) ReportTelemetry() error {
 		delta.Sort()
 	}
 
-	// Storage-tier per-table access counters live in the embedded sqldb,
-	// not the peer registry; inject their deltas the same way the fan-out
-	// histogram rides along. The baseline map only advances with the rest
-	// of the state after a successful push.
-	access, accessTotals := p.accessDelta()
-	if len(access) > 0 {
-		delta.Points = append(delta.Points, access...)
-		delta.Sort()
-	}
-
 	rep := telemetry.Report{Peer: p.id, Seq: p.rep.seq + 1, Delta: delta}
 	size := int64(64 + 48*len(rep.Delta.Points))
 	if _, err := p.ep.Call(p.env.Bootstrap.ID(), bootstrap.MsgTelemetryReport, rep, size); err != nil {
@@ -73,36 +62,8 @@ func (p *Peer) ReportTelemetry() error {
 	}
 	p.rep.last = cur
 	p.rep.lastFan = fan
-	p.rep.lastAccess = accessTotals
 	p.rep.seq++
 	return nil
-}
-
-// accessDelta turns the embedded database's per-table access totals
-// into peer_table_access_total counter deltas against the last shipped
-// baseline. Caller holds p.rep.mu. The returned totals map becomes the
-// new baseline once the report is delivered.
-func (p *Peer) accessDelta() ([]telemetry.PointSnapshot, map[string]int64) {
-	if p.db == nil {
-		return nil, p.rep.lastAccess
-	}
-	totals := make(map[string]int64)
-	var pts []telemetry.PointSnapshot
-	add := func(table, path string, v int64) {
-		key := table + "\x00" + path
-		totals[key] = v
-		if d := v - p.rep.lastAccess[key]; d > 0 {
-			pts = append(pts, telemetry.PointSnapshot{
-				Name: "peer_table_access_total", Kind: "counter", Value: float64(d),
-				Labels: []telemetry.Label{telemetry.L("path", path), telemetry.L("table", table)},
-			})
-		}
-	}
-	for _, c := range p.db.AccessCounts() {
-		add(c.Table, "scan", c.Scans)
-		add(c.Table, "index", c.IndexReads)
-	}
-	return pts, totals
 }
 
 // StartTelemetryReporter launches the epoch reporter loop and returns

@@ -45,12 +45,6 @@ type SlowQueryEntry struct {
 	// TraceID links the entry to the latency histogram's tail exemplars:
 	// a p99 overrun's exemplar trace ID finds its slow-log entry here.
 	TraceID uint64
-	// Heat attribution: the tables the statement touched and — when a
-	// stats-domain column was bounded — the BATON key range it hit, so a
-	// slow query names the hot range it sat on.
-	Tables       []string
-	KeyLo, KeyHi float64
-	HasKeyRange  bool
 }
 
 // slowLog is the bounded ring holding the most recent entries.
@@ -88,9 +82,6 @@ func (l *slowLog) maybeCapture(peer, sql, user string, wall time.Duration, res *
 		e.VTime = res.vtime
 		e.Peers = res.peers
 		e.Resubmissions = res.resubmissions
-		e.Tables = res.tables
-		e.KeyLo, e.KeyHi = res.keyLo, res.keyHi
-		e.HasKeyRange = res.hasKeyRange
 	}
 	e.TraceID = root.Context().TraceID
 	if err != nil {

@@ -30,7 +30,6 @@ type peerMetrics struct {
 	latency     *telemetry.Histogram
 	rowsScanned *telemetry.Counter
 	shuffle     *telemetry.Counter
-	keyHeat     *telemetry.Heatmap
 
 	dest sync.Map // destination id -> *destCounters
 }
@@ -53,14 +52,12 @@ func newPeerMetrics() *peerMetrics {
 		latency:     reg.Histogram("peer_query_seconds", nil),
 		rowsScanned: reg.Counter("peer_rows_scanned_total"),
 		shuffle:     reg.Counter("peer_shuffle_bytes_total"),
-		keyHeat:     reg.Heatmap("peer_key_heat", telemetry.DefaultHeatBuckets),
 	}
 	reg.SetHelp("peer_queries_total", "Queries this peer coordinated.")
 	reg.SetHelp("peer_query_errors_total", "Coordinated queries that returned an error.")
 	reg.SetHelp("peer_query_seconds", "Wall-clock latency of coordinated queries.")
 	reg.SetHelp("peer_rows_scanned_total", "Rows scanned across all peers on this peer's behalf.")
 	reg.SetHelp("peer_shuffle_bytes_total", "Bytes shipped between peers for this peer's queries.")
-	reg.SetHelp("peer_key_heat", "Access heat over the BATON key space served by this peer.")
 	reg.SetHelp("peer_rpc_calls_total", "Sender-side RPC attempts by destination.")
 	reg.SetHelp("peer_rpc_errors_total", "Sender-side RPC failures by destination.")
 	return m
@@ -83,11 +80,6 @@ func (m *peerMetrics) destOf(to string) *destCounters {
 func (p *Peer) initTelemetry() {
 	p.pm = newPeerMetrics()
 	p.slow = newSlowLog(DefaultSlowQueryThreshold)
-	// The reported peer_key_heat carries only data-access attribution
-	// (recordStmtHeat): overlay routing hops stay in the process-wide
-	// baton_key_heat, because index lookups key on table/column names —
-	// one fixed key per table, hammered once per query — which would
-	// light a bucket regardless of which data the workload touches.
 	p.ep.SetCallObserver(func(to, _ string, _ time.Duration, err error) {
 		d := p.pm.destOf(to)
 		d.calls.Inc()
@@ -134,10 +126,4 @@ type queryOutcome struct {
 	resubmissions int
 	rowsScanned   int64
 	bytesFetched  int64
-
-	// Heat attribution (stmtKeyRange): which tables the query touched
-	// and, when a stats-domain column was bounded, the BATON key range.
-	tables       []string
-	keyLo, keyHi float64
-	hasKeyRange  bool
 }

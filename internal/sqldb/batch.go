@@ -57,7 +57,6 @@ func (sp *scanPlan) applyFilter(ctx *bctx) error {
 // row, before the filter.
 func (sp *scanPlan) scanBatches(stats *Stats, ctx *bctx, flush func() error) error {
 	t := sp.table
-	sp.acc.record(sp.choice.path.index != nil)
 	var ferr error
 	emit := func(id int, row sqlval.Row) bool {
 		stats.RowsScanned++

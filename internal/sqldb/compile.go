@@ -14,10 +14,10 @@ import (
 // Semantics mirror evalExpr/evalPred exactly (SQL unknown-is-false
 // predicates, AND/OR short circuit, date-string coercion), which the
 // differential tests check. The closures serve the row-at-a-time
-// callers: DELETE/UPDATE predicates, a join level's residual predicate,
-// and the distributed engines (CompileExprOver, CompilePredicates,
-// CompileJoinKey). SELECT scans and projections run the batch programs
-// in batchcompile.go instead.
+// callers: DELETE/UPDATE predicates and SET expressions, a join level's
+// residual predicate, and the distributed engines (CompileExprOver,
+// CompilePredicates, CompileJoinKey). SELECT scans and projections run
+// the batch programs in batchcompile.go instead.
 
 // compiledExpr evaluates an expression against a joined row.
 type compiledExpr func(row sqlval.Row) (sqlval.Value, error)

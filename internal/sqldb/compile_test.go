@@ -401,4 +401,15 @@ func TestCompileErrorsAreReturned(t *testing.T) {
 			t.Errorf("ExplainSelect(%q) err = %v, want %q", sql, err, want)
 		}
 	}
+	// DML resolves names at plan time too: these used to succeed on an
+	// empty table because only a scanned row tripped the error.
+	for sql, want := range map[string]string{
+		`DELETE FROM empty_t WHERE nope = 1`:      "unknown column nope",
+		`UPDATE empty_t SET a = 1 WHERE nope = 1`: "unknown column nope",
+		`UPDATE empty_t SET a = nope2 + 1`:        "unknown column nope2",
+	} {
+		if _, err := db.Exec(sql); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Exec(%q) err = %v, want %q", sql, err, want)
+		}
+	}
 }

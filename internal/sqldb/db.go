@@ -45,10 +45,6 @@ type DB struct {
 	statsMu  sync.Mutex
 	stats    map[string]*tableStats
 	statsVer atomic.Uint64
-
-	// access is the bounded per-table access accounting (heat plane):
-	// index probes vs full scans per table, capped table set.
-	access accessStats
 }
 
 // NewDB returns an empty database.
@@ -419,17 +415,14 @@ func (db *DB) execStmt(stmt Statement, key string) (*Result, error) {
 }
 
 // compileWhere compiles a DELETE/UPDATE predicate once per statement;
-// nil means no WHERE clause. A predicate that does not compile (unknown
-// column, unknown function) fails on the first row it is asked about.
-func compileWhere(f *frame, where Expr) func(sqlval.Row) (bool, error) {
+// nil means no WHERE clause. Names resolve here, before the scan, so a
+// predicate that does not compile (unknown column, unknown function)
+// fails the statement whether or not the table holds rows.
+func compileWhere(f *frame, where Expr) (compiledPred, error) {
 	if where == nil {
-		return nil
+		return nil, nil
 	}
-	fn, err := compilePred(f, where)
-	if err != nil {
-		return func(sqlval.Row) (bool, error) { return false, err }
-	}
-	return fn
+	return compilePred(f, where)
 }
 
 // executeSelectCached runs s through its compiled plan, reusing the
@@ -494,7 +487,10 @@ func (db *DB) executeDelete(s *DeleteStmt) (*Result, error) {
 	}
 	f := &frame{}
 	f.push(s.Table, t.Schema())
-	match := compileWhere(f, s.Where)
+	match, err := compileWhere(f, s.Where)
+	if err != nil {
+		return nil, err
+	}
 	var ids []int
 	var ferr error
 	t.Scan(func(id int, row sqlval.Row) bool {
@@ -530,18 +526,27 @@ func (db *DB) executeUpdate(s *UpdateStmt) (*Result, error) {
 	f := &frame{}
 	f.push(s.Table, t.Schema())
 	cols := make([]int, len(s.Set))
+	sets := make([]compiledExpr, len(s.Set))
 	for i, a := range s.Set {
 		ci := t.Schema().ColumnIndex(a.Column)
 		if ci < 0 {
 			return nil, fmt.Errorf("sqldb: unknown column %s in UPDATE", a.Column)
 		}
 		cols[i] = ci
+		set, err := compileExpr(f, a.Value)
+		if err != nil {
+			return nil, err
+		}
+		sets[i] = set
 	}
 	type change struct {
 		id  int
 		row sqlval.Row
 	}
-	match := compileWhere(f, s.Where)
+	match, err := compileWhere(f, s.Where)
+	if err != nil {
+		return nil, err
+	}
 	var changes []change
 	var ferr error
 	t.Scan(func(id int, row sqlval.Row) bool {
@@ -556,8 +561,8 @@ func (db *DB) executeUpdate(s *UpdateStmt) (*Result, error) {
 			}
 		}
 		nr := row.Clone()
-		for i, a := range s.Set {
-			v, err := evalExpr(f, a.Value, row)
+		for i, set := range sets {
+			v, err := set(row)
 			if err != nil {
 				ferr = err
 				return false

@@ -150,7 +150,6 @@ func (db *DB) executeSelect(stmt *SelectStmt) (*Result, error) {
 	cur := &frame{}
 	cur.push(stmt.From[first].Alias, schemas[first])
 	choice := db.planScan(tables[first], stmt.From[first].Alias, perTable[first])
-	db.access.handle(schemas[first].Table).record(choice.path.index != nil)
 	rows, err := fetchRows(tables[first], stmt.From[first].Alias, perTable[first], choice.path, &stats)
 	if err != nil {
 		return nil, err
@@ -162,7 +161,6 @@ func (db *DB) executeSelect(stmt *SelectStmt) (*Result, error) {
 		rf := &frame{}
 		rf.push(stmt.From[ti].Alias, schemas[ti])
 		rchoice := db.planScan(tables[ti], stmt.From[ti].Alias, perTable[ti])
-		db.access.handle(schemas[ti].Table).record(rchoice.path.index != nil)
 		rrows, err := fetchRows(tables[ti], stmt.From[ti].Alias, perTable[ti], rchoice.path, &stats)
 		if err != nil {
 			return nil, err

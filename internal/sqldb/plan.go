@@ -34,12 +34,9 @@ var planCompiles = telemetry.Default.Counter("sqldb_plans_compiled_total")
 // with the actual row count on every run to feed the cost-model
 // misprediction histogram.
 type scanPlan struct {
-	table  *Table
-	alias  string
-	choice scanChoice
-	// acc is the table's bounded access-counter handle, resolved once at
-	// compile time and charged on every execution.
-	acc        *TableAccess
+	table      *Table
+	alias      string
+	choice     scanChoice
 	filter     bpred // nil = no per-table conjuncts
 	filterOffs []int // columns the filter needs loaded
 	ctxs       bctxPool
@@ -99,7 +96,6 @@ func (db *DB) compileSelect(stmt *SelectStmt) (*selectPlan, error) {
 			table:      tables[ti],
 			alias:      ref.Alias,
 			choice:     db.planScan(tables[ti], ref.Alias, perTable[ti]),
-			acc:        db.access.handle(tables[ti].Schema().Table),
 			filter:     filter,
 			filterOffs: c.offsets(),
 			ctxs:       bctxPool{f: f, kinds: c.kinds},

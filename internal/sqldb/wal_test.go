@@ -128,6 +128,32 @@ func TestWALCrashLosesUncommittedTail(t *testing.T) {
 	if got, want := back.StateFingerprint(), ref.StateFingerprint(); got != want {
 		t.Fatalf("replay fingerprint %x != committed-prefix fingerprint %x", got, want)
 	}
+
+	// The in-memory log loses the same tail: a CDC consumer reading
+	// Since after the crash must not see the records the file never got.
+	if got := w.Seq(); got != 8 {
+		t.Fatalf("seq after crash = %d, want 8", got)
+	}
+	recs, ok := w.Since(0)
+	if !ok || len(recs) != 8 {
+		t.Fatalf("Since(0) after crash = %d records (ok=%v), want 8", len(recs), ok)
+	}
+	for i, r := range recs {
+		if r.Seq != uint64(i+1) {
+			t.Fatalf("Since(0)[%d].Seq = %d, want %d", i, r.Seq, i+1)
+		}
+	}
+	committed, err := w.CommittedRecords()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem, err := ReplayRecords(committed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := mem.StateFingerprint(), ref.StateFingerprint(); got != want {
+		t.Fatalf("in-memory replay fingerprint %x != committed-prefix fingerprint %x", got, want)
+	}
 }
 
 // TestAtomicRollbackLeavesNoTrace aborts a batch mid-way: tables,

@@ -1,10 +1,33 @@
 package telemetry
 
 import (
+	"flag"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"os"
 )
+
+// PprofFlag registers the CLI tools' -pprof flag on fs. Call the
+// returned start after fs is parsed: when the flag names an address it
+// runs StartDebugServer there over the Default registry and prints the
+// bound address to standard error; when the flag is empty it does
+// nothing. The stop it returns is never nil.
+func PprofFlag(fs *flag.FlagSet) (start func() (stop func(), err error)) {
+	addr := fs.String("pprof", "", "serve net/http/pprof and /metrics on this address")
+	return func() (func(), error) {
+		if *addr == "" {
+			return func() {}, nil
+		}
+		bound, closeSrv, err := StartDebugServer(*addr, nil)
+		if err != nil {
+			return func() {}, fmt.Errorf("pprof: %w", err)
+		}
+		fmt.Fprintf(os.Stderr, "pprof+metrics on http://%s/debug/pprof/\n", bound)
+		return func() { _ = closeSrv() }, nil
+	}
+}
 
 // StartDebugServer serves live profiling and metrics over HTTP for the
 // CLI tools' -pprof flag: net/http/pprof under /debug/pprof/ (CPU and

@@ -65,8 +65,6 @@ func writeChild(w io.Writer, name string, kind metricKind, c *child) error {
 	case kindGauge:
 		_, err := fmt.Fprintf(w, "%s%s %d\n", name, renderLabels(c.labels, "", 0), c.gauge.Value())
 		return err
-	case kindHeatmap:
-		return writeHeat(w, name, c)
 	}
 	h := c.hist
 	counts := h.BucketCounts()
@@ -93,26 +91,6 @@ func writeChild(w io.Writer, name string, kind metricKind, c *child) error {
 		return err
 	}
 	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, renderLabels(c.labels, "", 0), h.Count())
-	return err
-}
-
-// writeHeat renders one heatmap child: a sample per non-empty key-space
-// bucket (lo/hi labels name the bucket's [lo,hi) range) plus the total.
-func writeHeat(w io.Writer, name string, c *child) error {
-	counts := c.heat.BucketCounts()
-	n := len(counts)
-	for i, cnt := range counts {
-		if cnt == 0 {
-			continue
-		}
-		lo, hi := HeatBucketRange(i, n)
-		labels := append(append([]Label(nil), c.labels...),
-			L("lo", formatFloat(lo)), L("hi", formatFloat(hi)))
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, renderLabels(labels, "", 0), cnt); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, renderLabels(c.labels, "", 0), c.heat.Count())
 	return err
 }
 

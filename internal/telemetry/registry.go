@@ -92,7 +92,6 @@ const (
 	kindCounter metricKind = iota
 	kindGauge
 	kindHistogram
-	kindHeatmap
 )
 
 func (k metricKind) String() string {
@@ -101,8 +100,6 @@ func (k metricKind) String() string {
 		return "counter"
 	case kindGauge:
 		return "gauge"
-	case kindHeatmap:
-		return "heatmap"
 	default:
 		return "histogram"
 	}
@@ -114,7 +111,6 @@ type child struct {
 	ctr    *Counter
 	gauge  *Gauge
 	hist   *Histogram
-	heat   *Heatmap
 }
 
 // family groups every labeled instance of one metric name.
@@ -249,35 +245,16 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 	return c.hist
 }
 
-// Heatmap returns the heatmap for name+labels, creating it on first use
-// with n buckets over [0,1) (n <= 0 selects DefaultHeatBuckets). The
-// bucket count is fixed at creation; later calls with a different n
-// return the existing heatmap unchanged.
-func (r *Registry) Heatmap(name string, n int, labels ...Label) *Heatmap {
-	f := r.getFamily(name, kindHeatmap)
-	sig := signature(labels)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	c := f.children[sig]
-	if c == nil {
-		c = &child{labels: append([]Label(nil), labels...), heat: NewHeatmap(n)}
-		f.children[sig] = c
-	}
-	return c.heat
-}
-
 // Point is one metric sample in a Snapshot.
 type Point struct {
 	Name   string
 	Labels []Label
-	Kind   string // "counter", "gauge", "histogram", "heatmap"
-	// Value is the counter/gauge value, or the histogram/heatmap
-	// observation count.
+	Kind   string // "counter", "gauge", "histogram"
+	// Value is the counter/gauge value, or the histogram observation
+	// count.
 	Value float64
 	// Hist is set for histogram points.
 	Hist *Histogram
-	// Heat is set for heatmap points.
-	Heat *Heatmap
 }
 
 // Snapshot returns every metric in the registry, sorted by name then
@@ -313,9 +290,6 @@ func (r *Registry) Snapshot() []Point {
 			case kindHistogram:
 				p.Value = float64(c.hist.Count())
 				p.Hist = c.hist
-			case kindHeatmap:
-				p.Value = float64(c.heat.Count())
-				p.Heat = c.heat
 			}
 			out = append(out, p)
 		}

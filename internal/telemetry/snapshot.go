@@ -154,10 +154,9 @@ func (s HistogramSnapshot) Sub(prev HistogramSnapshot) HistogramSnapshot {
 type PointSnapshot struct {
 	Name   string
 	Labels []Label
-	Kind   string // "counter", "gauge", "histogram", "heatmap"
+	Kind   string // "counter", "gauge", "histogram"
 	Value  float64
 	Hist   *HistogramSnapshot // set for histograms
-	Heat   *HeatmapSnapshot   // set for heatmaps
 }
 
 // key is the dedup/delta identity of a point.
@@ -184,10 +183,6 @@ func (r *Registry) Export() RegistrySnapshot {
 		if p.Hist != nil {
 			hs := p.Hist.Snapshot()
 			ps.Hist = &hs
-		}
-		if p.Heat != nil {
-			hs := p.Heat.Snapshot()
-			ps.Heat = &hs
 		}
 		out.Points = append(out.Points, ps)
 	}
@@ -234,19 +229,6 @@ func (s RegistrySnapshot) Delta(prev RegistrySnapshot) RegistrySnapshot {
 			}
 			p.Hist = &h
 			p.Value = float64(h.Count())
-		case "heatmap":
-			if p.Heat == nil {
-				continue
-			}
-			h := *p.Heat
-			if had && q.Heat != nil {
-				h = h.Sub(*q.Heat)
-			}
-			if h.Count() == 0 {
-				continue
-			}
-			p.Heat = &h
-			p.Value = float64(h.Count())
 		}
 		out.Points = append(out.Points, p)
 	}
@@ -277,14 +259,6 @@ func (r *Registry) Merge(s RegistrySnapshot, extra ...Label) error {
 			}
 			h := r.Histogram(p.Name, p.Hist.Bounds, labels...)
 			if err := h.Merge(*p.Hist); err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("%s: %w", p.Name, err)
-			}
-		case "heatmap":
-			if p.Heat == nil {
-				continue
-			}
-			h := r.Heatmap(p.Name, len(p.Heat.Buckets), labels...)
-			if err := h.Merge(*p.Heat); err != nil && firstErr == nil {
 				firstErr = fmt.Errorf("%s: %w", p.Name, err)
 			}
 		}

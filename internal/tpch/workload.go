@@ -9,17 +9,7 @@ import (
 
 // Shipdate-window workload generator: parameterized range scans over
 // l_shipdate whose window placement is either uniform over the date
-// domain or Zipfian-concentrated at its start. The two distributions
-// drive the heat plane's detection benchmark — the Zipfian run must
-// light up one key-space bucket, the uniform run must not.
-
-// ShipdateDomain returns the l_shipdate value domain as floats (day
-// ordinals) for bootstrap.DefineStatsDomain: generation spans orders up
-// to 1998-08-02 plus a ship lag of at most 120 days, so 1998-12-31
-// covers every generated ship date.
-func ShipdateDomain() (lo, hi float64) {
-	return float64(startDay), sqlval.MustParseDate("1998-12-31").AsFloat()
-}
+// domain or Zipfian-concentrated at its start.
 
 // ShipdateWindowQuery renders a count over the ship-date window
 // [fromDay, toDay) in day ordinals.
@@ -39,10 +29,9 @@ type ShipdateWorkload struct {
 }
 
 // NewShipdateWorkload builds a generator. With zipfian set, window
-// start offsets follow P(k) ∝ (1+k)^-1.5 from the domain's first day —
-// most of the mass lands within the first few weeks, i.e. inside one
-// heat bucket of the 64-bucket key space. Otherwise starts are uniform
-// over the whole domain.
+// start offsets follow P(k) ∝ (1+k)^-1.5 from the domain's first day,
+// so most of the mass lands within the first few weeks. Otherwise
+// starts are uniform over the whole domain.
 func NewShipdateWorkload(seed int64, zipfian bool, windowDays int) *ShipdateWorkload {
 	if windowDays < 1 {
 		windowDays = 7
